@@ -233,6 +233,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_boundary(args) -> int:
     cfg = _config_from_args(args)
+    points = len(set(cfg.grid))
+    if points < harness.MIN_BOUNDARY_POINTS:
+        raise UsageError(f"boundary needs at least {harness.MIN_BOUNDARY_POINTS} grid points, got {points}")
     result = harness.run_sweep(cfg)
     harness.persist_sweep(result, cfg.outdir)
     for m in cfg.m_list:

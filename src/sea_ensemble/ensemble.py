@@ -9,17 +9,20 @@ learner with a per-learner output-space gradient chosen by method:
                   make the ensemble output hit the target exactly. Gradient
                   treats g_i as a constant (stop-gradient).
 * ``ncl``         half squared error plus lambda times the classical
-                  negative-correlation penalty; gradient treats fbar as a
-                  constant.
+                  negative-correlation penalty; gradient treats fbar and the
+                  other learners as constants.
 * ``nclstar``     half squared error minus gamma/2 times (f_i - fbar)^2;
                   gradient differentiates through fbar (the (1 - 1/M) factor).
 * ``independent`` alias for sea with k = 0 (plain per-learner squared error);
                   shares the sea code path so the equivalence is structural.
-* ``bagging``     each learner trains on its own bootstrap resample with the
-                  plain squared-error gradient.
+* ``bagging``     the independent gradient with each row weighted by how often
+                  the learner's bootstrap resample drew it.
 
-Cross-learner gradient terms are dropped throughout: learner i's parameters
-only feel d(e_i)/d(f_i).
+Each loss is written once, in :func:`learner_losses`, over an (M, N, O)
+prediction stack; :func:`output_gradients` is its gradient under each
+method's convention and is what training uses. All five methods share the
+one training step, :func:`train_epoch`. Cross-learner gradient terms are
+dropped throughout: learner i's parameters only feel d(e_i)/d(f_i).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from . import theory
 from .mlp import (
     MLP,
     DivergenceError,
-    MLPGradients,
     backward_batch,
     forward_batch,
     init_mlp,
@@ -104,15 +106,6 @@ class EnsembleModel:
         return self.learners[0].d_out
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    """Batch-averaged view of one training step."""
-
-    learner_losses: np.ndarray      # (M,) mean per-learner loss
-    ensemble_sq_error: float        # mean over samples of sum_dims (fbar - t)^2
-    prediction_std: float           # mean per-sample std of learner predictions
-
-
 def build_ensemble(
     d_in: int,
     hidden: list[int],
@@ -174,78 +167,53 @@ def ensemble_predict(ens: EnsembleModel, x: np.ndarray) -> np.ndarray:
     return ensemble_predict_batch(ens, x[None, :])[0]
 
 
-def complementary_prediction(preds: np.ndarray, t: np.ndarray, i: int) -> np.ndarray:
-    """g_i = M (t - fbar) + f_i: replacing f_i by g_i makes the ensemble hit t exactly."""
-    preds = np.asarray(preds, dtype=np.float64)
-    m = preds.shape[0]
-    if not 0 <= i < m:
-        raise IndexError(f"learner index {i} out of range for M={m}")
-    fbar = preds.mean(axis=0)
-    return m * (np.asarray(t, dtype=np.float64) - fbar) + preds[i]
+def complementary_prediction(preds: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g = M (t - fbar) + f for every learner of an (M, ...) stack.
+
+    Replacing learner i's prediction by g_i makes the ensemble hit t exactly.
+    """
+    return preds.shape[0] * (t - preds.mean(axis=0)) + preds
 
 
 # ---------------------------------------------------------------------------
-# losses and output-space gradients (single sample; vector over output dims)
+# losses and output-space gradients, vectorized over an (M, N, O) stack
 
 
-def sea_loss(f_i, g_i, t, k: float) -> float:
-    """0.5 * || (f_i - t) - k (g_i - t) ||^2 summed over output dimensions."""
-    r = (np.asarray(f_i) - np.asarray(t)) - k * (np.asarray(g_i) - np.asarray(t))
-    return 0.5 * float(np.sum(r * r))
+def learner_losses(f: np.ndarray, anchor: np.ndarray, t: np.ndarray, config: MethodConfig) -> np.ndarray:
+    """Per-learner, per-sample loss (M, N) of the live stack ``f``.
 
-
-def sea_output_gradient(f_i, g_i, t, k: float) -> np.ndarray:
-    """Gradient of sea_loss in f_i with g_i held constant: (f_i - t) - k (g_i - t)."""
-    return (np.asarray(f_i, dtype=np.float64) - t) - k * (np.asarray(g_i) - t)
-
-
-def ncl_loss(f_i, preds, t, lam: float, i: int) -> float:
-    """0.5 ||f_i - t||^2 + lambda * (f_i - fbar) . sum_{j != i} (f_j - fbar).
-
-    ``fbar`` and the other learners' deviations are computed from ``preds``
-    (row i included as currently predicted), so perturbing the ``f_i``
-    argument alone probes the frozen-fbar differentiation convention.
+    ``anchor`` is the (M, N, O) stack at which each method's differentiation
+    convention freezes what learner i does not control: the complement
+    g_i for sea, the mean and the other learners' deviations for ncl, and
+    the other learners (the mean stays live) for nclstar. Learner i's loss
+    depends on ``f`` only through its own row f_i, so at ``f == anchor`` the
+    gradient of row i is exactly what :func:`output_gradients` returns.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    f_i = np.asarray(f_i, dtype=np.float64)
-    fbar = preds.mean(axis=0)
-    others = (preds - fbar).sum(axis=0) - (preds[i] - fbar)
-    penalty = float(np.sum((f_i - fbar) * others))
-    return 0.5 * float(np.sum((f_i - t) ** 2)) + lam * penalty
-
-
-def ncl_output_gradient(f_i, f_bar, t, lam: float) -> np.ndarray:
-    """(f_i - t) - lambda (f_i - fbar), the frozen-fbar gradient of ncl_loss."""
-    f_i = np.asarray(f_i, dtype=np.float64)
-    return (f_i - t) - lam * (f_i - f_bar)
-
-
-def nclstar_loss(f_i, f_bar, t, gamma: float) -> float:
-    """0.5 ||f_i - t||^2 - gamma * 0.5 ||f_i - fbar||^2."""
-    f_i = np.asarray(f_i, dtype=np.float64)
-    return 0.5 * float(np.sum((f_i - t) ** 2)) - gamma * 0.5 * float(
-        np.sum((f_i - np.asarray(f_bar)) ** 2)
-    )
-
-
-def nclstar_output_gradient(f_i, f_bar, t, gamma: float, m: int) -> np.ndarray:
-    """(f_i - t) - gamma (1 - 1/M)(f_i - fbar).
-
-    Unlike ncl, the penalty is differentiated through fbar (d fbar / d f_i
-    = 1/M), which is where the (1 - 1/M) factor comes from. The coefficient
-    is computed as gamma (M-1)/M so that the identity with the ncl gradient
-    at lambda = gamma (M-1)/M is bitwise exact, not just within rounding.
-    """
-    f_i = np.asarray(f_i, dtype=np.float64)
-    coef = gamma * (m - 1.0) / m
-    return (f_i - t) - coef * (f_i - np.asarray(f_bar))
+    err = f - t
+    if config.method in ("sea", "independent", "bagging"):
+        k = config.param if config.method == "sea" else 0.0
+        r = err - k * (complementary_prediction(anchor, t) - t)
+        return 0.5 * (r * r).sum(axis=2)
+    fbar = anchor.mean(axis=0)
+    if config.method == "ncl":
+        dev = anchor - fbar
+        others = dev.sum(axis=0) - dev  # sum_{j != i} (f_j - fbar)
+        return 0.5 * (err * err).sum(axis=2) + config.param * ((f - fbar) * others).sum(axis=2)
+    if config.method == "nclstar":
+        live_dev = f - (fbar + (f - anchor) / anchor.shape[0])
+        return 0.5 * (err * err).sum(axis=2) - config.param * 0.5 * (live_dev * live_dev).sum(axis=2)
+    raise ValueError(f"unknown method {config.method!r}")
 
 
 def output_gradients(preds: np.ndarray, t: np.ndarray, config: MethodConfig) -> np.ndarray:
-    """Per-learner output-space gradients, vectorized over an (M, N, O) stack."""
+    """Per-learner output-space gradients d(loss_i)/d(f_i) over an (M, N, O) stack.
+
+    The nclstar coefficient is computed as gamma (M-1)/M so that the identity
+    with the ncl gradient at lambda = gamma (M-1)/M is bitwise exact.
+    """
     m = preds.shape[0]
     err = preds - t  # (M, N, O) broadcast of f_i - t
-    if config.method in ("sea", "independent"):
+    if config.method in ("sea", "independent", "bagging"):
         k = config.param if config.method == "sea" else 0.0
         fbar = preds.mean(axis=0)
         comp_err = err - m * (fbar - t)  # g_i - t
@@ -256,31 +224,6 @@ def output_gradients(preds: np.ndarray, t: np.ndarray, config: MethodConfig) -> 
     if config.method == "nclstar":
         fbar = preds.mean(axis=0)
         return err - config.param * (m - 1.0) / m * (preds - fbar)
-    if config.method == "bagging":
-        raise ValueError("bagging gradients are per-bootstrap; handled in train_epoch")
-    raise ValueError(f"unknown method {config.method!r}")
-
-
-def _learner_losses(preds: np.ndarray, t: np.ndarray, config: MethodConfig) -> np.ndarray:
-    """Batch-mean loss per learner for diagnostics (same conventions as the gradients)."""
-    m = preds.shape[0]
-    err = preds - t
-    if config.method in ("sea", "independent", "bagging"):
-        k = config.param if config.method == "sea" else 0.0
-        fbar = preds.mean(axis=0)
-        r = err - k * (err - m * (fbar - t))
-        return 0.5 * (r * r).sum(axis=2).mean(axis=1)
-    fbar = preds.mean(axis=0)
-    dev = preds - fbar
-    if config.method == "ncl":
-        others = dev.sum(axis=0) - dev  # (M, N, O) of sum_{j != i}(f_j - fbar)
-        pen = (dev * others).sum(axis=2).mean(axis=1)
-        return 0.5 * (err * err).sum(axis=2).mean(axis=1) + config.param * pen
-    if config.method == "nclstar":
-        return (
-            0.5 * (err * err).sum(axis=2).mean(axis=1)
-            - config.param * 0.5 * (dev * dev).sum(axis=2).mean(axis=1)
-        )
     raise ValueError(f"unknown method {config.method!r}")
 
 
@@ -288,14 +231,14 @@ def _learner_losses(preds: np.ndarray, t: np.ndarray, config: MethodConfig) -> n
 # training
 
 
-def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) -> StepDiagnostics:
+def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) -> None:
     """One synchronized gradient step on the given batch.
 
-    All M learners are forwarded, the ensemble mean and per-learner
-    output-space gradients are computed from the pre-update parameters, and
-    every learner takes one SGD step at the end. Gradients are averaged over
-    the batch. Bagging learners see only their own bootstrap rows and use the
-    plain squared-error gradient.
+    All M learners are forwarded, per-learner output-space gradients are
+    computed from the pre-update parameters, and every learner takes one SGD
+    step at the end. Gradients are averaged over the batch. A bagging learner
+    weights each row by the number of times its bootstrap resample drew it,
+    so its gradient is sum_r c_r (f_r - t_r) / n.
     """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")
@@ -307,39 +250,20 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
         raise ValueError("empty batch")
     if x.shape[0] != t.shape[0]:
         raise ValueError(f"batch has {x.shape[0]} inputs but {t.shape[0]} targets")
-
-    if ens.config.method == "bagging":
-        return _train_epoch_bagging(ens, x, t, alpha)
+    n = x.shape[0]
+    if ens.bootstrap is not None and any(idx.max() >= n for idx in ens.bootstrap):
+        raise ValueError("bootstrap indices exceed batch size; bagging trains full-batch")
 
     # Overflow in a diverging run surfaces as DivergenceError at the update.
     with np.errstate(over="ignore", invalid="ignore"):
         preds, traces = predictions_batch(ens, x)
         deltas = output_gradients(preds, t, ens.config)
-        n = x.shape[0]
+        if ens.bootstrap is not None:
+            deltas *= np.stack([np.bincount(idx, minlength=n) for idx in ens.bootstrap])[:, :, None]
         grads = [
             backward_batch(learner, trace, deltas[i] / n)
             for i, (learner, trace) in enumerate(zip(ens.learners, traces))
         ]
-        _apply_updates(ens, grads, alpha)
-        return _diagnostics(preds, t, ens.config)
-
-
-def _train_epoch_bagging(ens: EnsembleModel, x, t, alpha: float) -> StepDiagnostics:
-    n = x.shape[0]
-    if any(idx.max() >= n for idx in ens.bootstrap):
-        raise ValueError("bootstrap indices exceed batch size; bagging trains full-batch")
-    grads = []
-    for i, learner in enumerate(ens.learners):
-        idx = ens.bootstrap[i]
-        y, trace = forward_batch(learner, x[idx])
-        delta = (y - t[idx]) / len(idx)
-        grads.append(backward_batch(learner, trace, delta))
-    _apply_updates(ens, grads, alpha)
-    preds, _ = predictions_batch(ens, x)  # diagnostics on the full batch, post-update
-    return _diagnostics(preds, t, ens.config)
-
-
-def _apply_updates(ens: EnsembleModel, grads: list[MLPGradients], alpha: float) -> None:
     updated = []
     for i, (learner, g) in enumerate(zip(ens.learners, grads)):
         try:
@@ -348,16 +272,6 @@ def _apply_updates(ens: EnsembleModel, grads: list[MLPGradients], alpha: float) 
             exc.learner = i
             raise
     ens.learners = updated
-
-
-def _diagnostics(preds: np.ndarray, t: np.ndarray, config: MethodConfig) -> StepDiagnostics:
-    fbar = preds.mean(axis=0)
-    ens_sq = float(((fbar - t) ** 2).sum(axis=1).mean())
-    return StepDiagnostics(
-        learner_losses=_learner_losses(preds, t, config),
-        ensemble_sq_error=ens_sq,
-        prediction_std=float(theory.empirical_std(preds)),
-    )
 
 
 # ---------------------------------------------------------------------------

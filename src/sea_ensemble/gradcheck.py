@@ -2,9 +2,11 @@
 
 These re-check, at runtime, the same identities the test suite pins down:
 network backward against central differences of the induced scalar loss, and
-each ensemble loss gradient against central differences under its stated
-differentiation convention (complement frozen for sea, mean frozen for ncl,
-mean live for nclstar), plus the sea/ncl gradient proportionality.
+the training gradients of :func:`~sea_ensemble.ensemble.output_gradients`
+against central differences of :func:`~sea_ensemble.ensemble.learner_losses`
+under each method's differentiation convention (complement frozen for sea,
+mean frozen for ncl, mean live for nclstar), plus the sea/ncl gradient
+proportionality.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .ensemble import (
-    complementary_prediction,
-    ncl_loss,
-    ncl_output_gradient,
-    nclstar_loss,
-    nclstar_output_gradient,
-    sea_loss,
-    sea_output_gradient,
-)
+from .ensemble import MethodConfig, learner_losses, output_gradients
 from .mlp import MLP, backward, forward, init_mlp
 
 
@@ -42,14 +36,35 @@ def _rel_err(a, b) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12))
 
 
-def _central_diff(loss_of, f: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros_like(f)
-    for j in range(f.size):
-        fp, fm = f.copy(), f.copy()
-        fp[j] += h
-        fm[j] -= h
-        g[j] = (loss_of(fp) - loss_of(fm)) / (2 * h)
+def _worst_row_err(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest relative error over the (learner, sample) rows of two (M, N, O) stacks."""
+    o = a.shape[-1]
+    return max(_rel_err(ra, rb) for ra, rb in zip(a.reshape(-1, o), b.reshape(-1, o)))
+
+
+def _table_gradient(preds: np.ndarray, t: np.ndarray, config: MethodConfig, h: float) -> np.ndarray:
+    """Central differences of learner_losses in the live stack, anchor fixed at ``preds``.
+
+    Learner i's loss depends only on its own live row, so one perturbation of
+    element (s, j) across all M learners gives every learner's derivative.
+    """
+    g = np.zeros_like(preds)
+    for s, j in np.ndindex(*preds.shape[1:]):
+        fp, fm = preds.copy(), preds.copy()
+        fp[:, s, j] += h
+        fm[:, s, j] -= h
+        lp = learner_losses(fp, preds, t, config)[:, s]
+        lm = learner_losses(fm, preds, t, config)[:, s]
+        g[:, s, j] = (lp - lm) / (2 * h)
     return g
+
+
+def _random_stack(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """An (M, N, O) prediction stack and (N, O) targets of random sizes."""
+    m = int(rng.integers(2, 21))
+    n = int(rng.integers(1, 4))
+    o = int(rng.integers(1, 6))
+    return rng.normal(size=(m, n, o)), rng.normal(size=(n, o))
 
 
 def check_mlp_backward(n_nets: int = 50, seed: int = 0, h: float = 1e-6, tol: float = 1e-6) -> CheckResult:
@@ -91,7 +106,7 @@ def check_mlp_backward(n_nets: int = 50, seed: int = 0, h: float = 1e-6, tol: fl
 
 
 def check_loss_gradients(n_states: int = 1000, seed: int = 1, tol: float = 1e-8) -> list[CheckResult]:
-    """The three loss gradients vs central differences under their conventions.
+    """The training gradients vs central differences of the loss table, per method.
 
     The losses are quadratic, so a relatively large step (1e-3) has no
     truncation error and keeps rounding noise far below the tolerance.
@@ -100,29 +115,17 @@ def check_loss_gradients(n_states: int = 1000, seed: int = 1, tol: float = 1e-8)
     h = 1e-3
     worst = {"sea": 0.0, "ncl": 0.0, "nclstar": 0.0}
     for _ in range(n_states):
-        m = int(rng.integers(2, 21))
-        o = int(rng.integers(1, 6))
-        preds = rng.normal(size=(m, o))
-        t = rng.normal(size=o)
-        i = int(rng.integers(0, m))
-        fbar = preds.mean(axis=0)
-        f = preds[i].copy()
-
-        k = float(rng.uniform(-0.5, 2.5))
-        g_i = complementary_prediction(preds, t, i)
-        fd = _central_diff(lambda ff: sea_loss(ff, g_i, t, k), f, h)
-        worst["sea"] = max(worst["sea"], _rel_err(sea_output_gradient(f, g_i, t, k), fd))
-
-        lam = float(rng.uniform(-0.5, 1.5))
-        fd = _central_diff(lambda ff: ncl_loss(ff, preds, t, lam, i), f, h)
-        worst["ncl"] = max(worst["ncl"], _rel_err(ncl_output_gradient(f, fbar, t, lam), fd))
-
-        gamma = float(rng.uniform(-0.5, 1.5))
-        others = preds.sum(axis=0) - preds[i]
-        fd = _central_diff(lambda ff: nclstar_loss(ff, (others + ff) / m, t, gamma), f, h)
-        worst["nclstar"] = max(
-            worst["nclstar"], _rel_err(nclstar_output_gradient(f, fbar, t, gamma, m), fd)
-        )
+        preds, t = _random_stack(rng)
+        params = {
+            "sea": float(rng.uniform(-0.5, 2.5)),
+            "ncl": float(rng.uniform(-0.5, 1.5)),
+            "nclstar": float(rng.uniform(-0.5, 1.5)),
+        }
+        for method, param in params.items():
+            config = MethodConfig(method, param)
+            fd = _table_gradient(preds, t, config, h)
+            err = _worst_row_err(output_gradients(preds, t, config), fd)
+            worst[method] = max(worst[method], err)
     return [CheckResult(f"{name}_gradient", err, tol) for name, err in worst.items()]
 
 
@@ -131,17 +134,12 @@ def check_sea_ncl_proportionality(n_states: int = 1000, seed: int = 2, tol: floa
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
-        m = int(rng.integers(2, 21))
-        o = int(rng.integers(1, 6))
-        preds = rng.normal(size=(m, o))
-        t = rng.normal(size=o)
-        i = int(rng.integers(0, m))
+        preds, t = _random_stack(rng)
+        m = preds.shape[0]
         k = float(rng.uniform(-1.0 / (m - 1) + 0.05, 2.2))
-        g_i = complementary_prediction(preds, t, i)
-        sea = sea_output_gradient(preds[i], g_i, t, k)
-        lam = theory.lambda_from_k(k, m)
-        ncl = ncl_output_gradient(preds[i], preds.mean(axis=0), t, lam)
-        worst = max(worst, _rel_err(sea, (1.0 + k * (m - 1)) * ncl))
+        sea = output_gradients(preds, t, MethodConfig("sea", k))
+        ncl = output_gradients(preds, t, MethodConfig("ncl", theory.lambda_from_k(k, m)))
+        worst = max(worst, _worst_row_err(sea, (1.0 + k * (m - 1)) * ncl))
     return CheckResult("sea_ncl_proportionality", worst, tol)
 
 

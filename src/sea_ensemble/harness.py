@@ -35,6 +35,7 @@ from .data import (
     synth_regression,
 )
 from .ensemble import (
+    ADJUSTABLE,
     DivergenceError,
     MethodConfig,
     build_ensemble,
@@ -63,6 +64,7 @@ TRIVIAL_RMSE_LEVEL = 1.0
 
 PLATEAU_SPREAD = 0.02    # max relative spread inside the trailing plateau run
 BOUNDARY_MARGIN = 0.05   # required improvement over the plateau
+MIN_BOUNDARY_POINTS = 5  # distinct grid points the boundary estimator needs
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +118,8 @@ class ExperimentConfig:
             raise ValueError("parameter grid must be sorted ascending")
         if not self.m_list or any(m < 1 for m in self.m_list):
             raise ValueError("m_list must contain positive ensemble sizes")
+        if self.method in ADJUSTABLE and min(self.m_list) < 2:
+            raise ValueError(f"{self.method} needs ensemble sizes >= 2, got m_list {list(self.m_list)}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if self.epochs < 1:
@@ -124,6 +128,8 @@ class ExperimentConfig:
             raise ValueError("alpha must be positive")
         if self.task not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.synth is not None and self.task != REGRESSION:
+            raise ValueError(f"the synthetic dataset is regression; task {self.task!r} needs a dataset_path")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 when set")
         if self.workers < 1:
@@ -310,13 +316,6 @@ def _run_one_epoch(ens, train: Dataset, cfg: ExperimentConfig) -> None:
         train_epoch(ens, train.features[start:stop], train.targets[start:stop], cfg.alpha)
 
 
-def run_cv(cfg: ExperimentConfig, method: str, param: float, m: int) -> list[FoldResult]:
-    """All folds for one (method, param, M) cell, sequentially."""
-    ds = load_dataset(cfg)
-    split = fold_split_for(cfg, ds.n_samples)
-    return [run_fold(cfg, method, param, m, ds, split, f) for f in range(cfg.folds)]
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -453,8 +452,8 @@ def estimate_real_boundary(curve, task: str) -> BoundaryEstimate:
     BOUNDARY_METRIC_CAP.
     """
     pts = [(float(p), float(v)) for p, v in curve]
-    if len(pts) < 5:
-        raise ValueError(f"need at least 5 curve points, got {len(pts)}")
+    if len(pts) < MIN_BOUNDARY_POINTS:
+        raise ValueError(f"need at least {MIN_BOUNDARY_POINTS} curve points, got {len(pts)}")
     params = [p for p, _ in pts]
     if any(b <= a for a, b in zip(params, params[1:])):
         raise ValueError("curve must be sorted by strictly increasing parameter")

@@ -16,10 +16,9 @@ import numpy as np
 class DivergenceError(RuntimeError):
     """An update produced a non-finite parameter."""
 
-    def __init__(self, message: str, learner: int | None = None, epoch: int | None = None):
+    def __init__(self, message: str, learner: int | None = None):
         super().__init__(message)
         self.learner = learner
-        self.epoch = epoch
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ by SHA-256 over a canonical text encoding of (master seed, label parts).
 The same (master, parts) always yields the same child seed, across runs,
 platforms and worker processes.
 
-Splitting rule used throughout the harness:
+Splitting rule used throughout the harness, with s_f = derive_seed(master,
+"fold", f) the seed of fold f:
 
-    derive_seed(master, "data")                  -> dataset synthesis / fold split
-    derive_seed(master, "fold", f, "learner", i) -> init of learner i in fold f
-    derive_seed(master, "fold", f, "bootstrap")  -> bagging resample in fold f
+    derive_seed(master, "data")      -> synthetic dataset draw
+    derive_seed(master, "split")     -> k-fold split
+    derive_seed(s_f, "learner", i)   -> init of learner i in fold f
+    derive_seed(s_f, "bootstrap")    -> bagging resamples in fold f (one
+                                        generator draws all M in order)
 
 The method name never enters the derivation, so different methods trained
 from the same master seed share data splits and initial learner parameters.

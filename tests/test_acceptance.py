@@ -2,7 +2,8 @@
 
 Criteria 1-5 and 10 are closed-form or oracle-backed and run in seconds.
 Criteria 6-9 train ensembles on the synthetic dataset; they parallelize
-across folds and grid points but still take a few minutes combined.
+across folds and grid points but still take a few minutes combined, and
+carry the ``slow`` marker (``pytest -m "not slow"`` skips them).
 
 Criterion 9's LIBSVM half needs the housing and mpg datasets as LIBSVM text
 files; place them in ./data or point SEA_DATA_DIR at them. Without the
@@ -176,6 +177,7 @@ def boundary_sweep():
     return cfg, result, time.perf_counter() - started
 
 
+@pytest.mark.slow
 def test_criterion_6_empirical_boundary(boundary_sweep):
     with criterion(6, "estimated boundary in (1.0, theory bound + one step] for M in {3,5,10}"):
         cfg, result, elapsed = boundary_sweep
@@ -190,6 +192,7 @@ def test_criterion_6_empirical_boundary(boundary_sweep):
             assert est.boundary_param > 1.0, f"M={m}: boundary {est.boundary_param} <= 1.0"
 
 
+@pytest.mark.slow
 def test_criterion_7_descent_inside_effective_range(boundary_sweep):
     with criterion(7, "every k in [0,2]: trained test RMSE below the epoch-0 level"):
         cfg, result, _ = boundary_sweep
@@ -208,6 +211,7 @@ def test_criterion_7_descent_inside_effective_range(boundary_sweep):
 # 8. diversity uniformity
 
 
+@pytest.mark.slow
 def test_criterion_8_diversity_uniformity():
     with criterion(8, "R2(sea std-k) >= R2(ncl std-lambda); sea theory fit < 25% rel RMS"):
         started = time.perf_counter()
@@ -279,6 +283,7 @@ def _ablation_ordering(cfg_base: dict) -> tuple[float, float, float]:
 TIE_TOLERANCE = 1.02
 
 
+@pytest.mark.slow
 def test_criterion_9_ablation_ordering_synthetic():
     with criterion(9, "best RMSE: sea[0,2] <= sea[0,1] <= ncl[0,1] on synthetic data"):
         started = time.perf_counter()
@@ -310,6 +315,7 @@ def _libsvm_data_dir() -> Path | None:
     return None
 
 
+@pytest.mark.slow
 def test_criterion_9_ablation_ordering_libsvm():
     data_dir = _libsvm_data_dir()
     available = []

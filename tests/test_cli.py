@@ -51,6 +51,25 @@ class TestUsage:
     def test_bad_m_range(self, capsys):
         assert main(["bounds", "--m", "5"]) == EXIT_USAGE
 
+    def test_classification_on_synthetic_rejected(self, tmp_path, capsys):
+        args = ["sweep", "--task", "classification", "--grid", "0", "--outdir", str(tmp_path)] + BASE
+        assert main(args) == EXIT_USAGE
+        assert "synthetic" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("method", ["sea", "ncl", "nclstar"])
+    def test_single_learner_adjustable_rejected(self, tmp_path, capsys, method):
+        args = ["sweep", "--method", method, "--grid", "0.5", "--outdir", str(tmp_path)] + BASE + ["--m", "1"]
+        assert main(args) == EXIT_USAGE
+        assert ">= 2" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_boundary_short_grid_rejected_before_training(self, tmp_path, capsys):
+        args = ["boundary", "--method", "sea", "--grid", "0,0.5,1,1,1.5", "--outdir", str(tmp_path)] + BASE
+        assert main(args) == EXIT_USAGE
+        assert "grid points" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestBounds:
     def test_csv_matches_theory(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sea_ensemble import theory
+from sea_ensemble import gradcheck, theory
 from sea_ensemble.data import standardize, synth_regression
 from sea_ensemble.ensemble import (
     EnsembleModel,
@@ -13,32 +13,37 @@ from sea_ensemble.ensemble import (
     ensemble_predict,
     ensemble_predict_batch,
     ensemble_to_json,
-    ncl_loss,
-    ncl_output_gradient,
-    nclstar_loss,
-    nclstar_output_gradient,
+    learner_losses,
     output_gradients,
-    sea_loss,
-    sea_output_gradient,
+    predictions_batch,
     train_epoch,
 )
-from sea_ensemble.mlp import MLP
+from sea_ensemble.mlp import MLP, backward_batch, forward_batch, sgd_step
 
 
-def central_diff(loss_of, f: np.ndarray, h: float = 1e-3) -> np.ndarray:
-    """Central finite differences of a scalar loss over an O-vector.
+def table_diff(preds: np.ndarray, t: np.ndarray, config: MethodConfig, h: float = 1e-3) -> np.ndarray:
+    """Central finite differences of learner_losses with the anchor fixed at ``preds``.
 
-    All three ensemble losses are quadratic in f, so the central difference
+    All the ensemble losses are quadratic in f, so the central difference
     has no truncation error and a relatively large h minimizes rounding noise.
+    Learner i's loss reads only row i of the live stack, so perturbing one
+    element of every learner at once gives all M derivatives.
     """
-    g = np.zeros_like(f)
-    for j in range(f.size):
-        fp = f.copy()
-        fm = f.copy()
-        fp[j] += h
-        fm[j] -= h
-        g[j] = (loss_of(fp) - loss_of(fm)) / (2 * h)
+    g = np.zeros_like(preds)
+    for s, j in np.ndindex(*preds.shape[1:]):
+        fp = preds.copy()
+        fm = preds.copy()
+        fp[:, s, j] += h
+        fm[:, s, j] -= h
+        g[:, s, j] = (
+            learner_losses(fp, preds, t, config)[:, s] - learner_losses(fm, preds, t, config)[:, s]
+        ) / (2 * h)
     return g
+
+
+def stack(*rows) -> np.ndarray:
+    """(M, 1, O) prediction stack from M per-learner O-vectors of one sample."""
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 1, -1)
 
 
 def rel_err(a, b) -> float:
@@ -46,22 +51,42 @@ def rel_err(a, b) -> float:
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
 
 
+def assert_fd_match(rng, config_of, n_states: int = 200) -> None:
+    """output_gradients vs table_diff on random stacks, every (learner, sample) row to 1e-8."""
+    for _ in range(n_states):
+        m = int(rng.integers(2, 21))
+        n = int(rng.integers(1, 4))
+        o = int(rng.integers(1, 6))
+        preds = rng.normal(size=(m, n, o))
+        t = rng.normal(size=(n, o))
+        config = config_of(rng)
+        grad = output_gradients(preds, t, config)
+        fd = table_diff(preds, t, config)
+        for i in range(m):
+            for s in range(n):
+                assert rel_err(grad[i, s], fd[i, s]) < 1e-8
+
+
+def sq_error(ens: EnsembleModel, x: np.ndarray, t: np.ndarray) -> float:
+    """Mean over samples of sum_dims (fbar - t)^2."""
+    fbar = ensemble_predict_batch(ens, x)
+    return float(((fbar - t) ** 2).sum(axis=1).mean())
+
+
 class TestComplementaryPrediction:
     def test_on_target_means_identity(self):
         preds = np.array([[0.0], [0.0], [3.0]])
         t = np.array([1.0])  # fbar == t
-        for i in range(3):
-            np.testing.assert_allclose(complementary_prediction(preds, t, i), preds[i])
+        np.testing.assert_allclose(complementary_prediction(preds, t), preds)
 
     def test_two_learner_hand_case(self):
         preds = np.array([[1.0], [2.0]])
         t = np.array([2.0])
-        g0 = complementary_prediction(preds, t, 0)
-        g1 = complementary_prediction(preds, t, 1)
-        np.testing.assert_allclose(g0, [2.0])
-        np.testing.assert_allclose(g1, [3.0])
+        g = complementary_prediction(preds, t)
+        np.testing.assert_allclose(g[0], [2.0])
+        np.testing.assert_allclose(g[1], [3.0])
         # replacing f_0 by g_0 makes the ensemble hit the target
-        assert (preds[1] + g0) / 2 == pytest.approx(2.0)
+        assert (preds[1] + g[0]) / 2 == pytest.approx(2.0)
 
     def test_identity_random_states(self):
         rng = np.random.default_rng(42)
@@ -71,125 +96,84 @@ class TestComplementaryPrediction:
             preds = rng.normal(size=(m, o))
             t = rng.normal(size=o)
             i = int(rng.integers(0, m))
-            g = complementary_prediction(preds, t, i)
+            g = complementary_prediction(preds, t)[i]
             rebuilt = (preds.sum(axis=0) - preds[i] + g) / m
             np.testing.assert_allclose(rebuilt, t, rtol=0, atol=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            complementary_prediction(np.zeros((3, 1)), np.zeros(1), 3)
 
 
 class TestSeaLoss:
     def test_k_zero_is_half_squared_error(self):
-        f, g, t = np.array([2.0]), np.array([9.0]), np.array([0.5])
-        assert sea_loss(f, g, t, 0.0) == pytest.approx(0.5 * 1.5**2)
+        preds, t = stack([2.0], [9.0]), np.array([[0.5]])
+        assert learner_losses(preds, preds, t, MethodConfig("sea", 0.0))[0, 0] == pytest.approx(0.5 * 1.5**2)
 
     def test_k_one_coincidence(self):
-        f = np.array([1.3, -2.0])
-        assert sea_loss(f, f, np.array([0.0, 1.0]), 1.0) == 0.0
+        # fbar == t makes g_i == f_i, and at k = 1 the loss vanishes
+        preds, t = stack([1.3, -2.0], [-1.3, 4.0]), np.array([[0.0, 1.0]])
+        np.testing.assert_array_equal(learner_losses(preds, preds, t, MethodConfig("sea", 1.0)), 0.0)
 
     def test_hand_value(self):
-        assert sea_loss(np.array([1.0]), np.array([3.0]), np.array([2.0]), 0.5) == pytest.approx(1.125)
+        # M=2, f=(1,1), t=2: g_0 = 2(2 - 1) + 1 = 3
+        preds, t = stack([1.0], [1.0]), np.array([[2.0]])
+        assert learner_losses(preds, preds, t, MethodConfig("sea", 0.5))[0, 0] == pytest.approx(1.125)
 
     def test_gradient_k0(self):
-        f, g, t = np.array([1.0, 2.0]), np.array([5.0, 5.0]), np.array([0.0, 0.0])
-        np.testing.assert_allclose(sea_output_gradient(f, g, t, 0.0), f - t)
+        preds, t = stack([1.0, 2.0], [5.0, 5.0]), np.array([[0.0, 0.0]])
+        np.testing.assert_allclose(output_gradients(preds, t, MethodConfig("sea", 0.0)), preds - t)
 
     def test_gradient_hand_value(self):
-        g = sea_output_gradient(np.array([1.0]), np.array([3.0]), np.array([2.0]), 0.5)
-        np.testing.assert_allclose(g, [-1.5])
+        preds, t = stack([1.0], [1.0]), np.array([[2.0]])
+        g = output_gradients(preds, t, MethodConfig("sea", 0.5))
+        np.testing.assert_allclose(g[0, 0], [-1.5])
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            o = int(rng.integers(1, 6))
-            f = rng.normal(size=o)
-            g_i = rng.normal(size=o)
-            t = rng.normal(size=o)
-            k = float(rng.uniform(-0.5, 2.5))
-            grad = sea_output_gradient(f, g_i, t, k)
-            fd = central_diff(lambda ff: sea_loss(ff, g_i, t, k), f)
-            assert rel_err(grad, fd) < 1e-8
+        assert_fd_match(np.random.default_rng(0), lambda rng: MethodConfig("sea", rng.uniform(-0.5, 2.5)))
 
 
 class TestNclLoss:
     def test_lambda_zero_is_mse(self):
-        preds = np.array([[1.0], [3.0]])
-        t = np.array([2.0])
-        assert ncl_loss(preds[0], preds, t, 0.0, 0) == pytest.approx(0.5)
-        np.testing.assert_allclose(
-            ncl_output_gradient(preds[0], preds.mean(axis=0), t, 0.0), [-1.0]
-        )
+        preds, t = stack([1.0], [3.0]), np.array([[2.0]])
+        assert learner_losses(preds, preds, t, MethodConfig("ncl", 0.0))[0, 0] == pytest.approx(0.5)
+        np.testing.assert_allclose(output_gradients(preds, t, MethodConfig("ncl", 0.0))[0, 0], [-1.0])
 
     def test_equal_predictions_zero_penalty(self):
-        preds = np.full((4, 1), 1.7)
-        t = np.array([0.0])
-        lam = 0.8
-        assert ncl_loss(preds[0], preds, t, lam, 0) == pytest.approx(0.5 * 1.7**2)
-        np.testing.assert_allclose(
-            ncl_output_gradient(preds[0], preds.mean(axis=0), t, lam), [1.7]
-        )
+        preds, t = stack([1.7], [1.7], [1.7], [1.7]), np.array([[0.0]])
+        config = MethodConfig("ncl", 0.8)
+        assert learner_losses(preds, preds, t, config)[0, 0] == pytest.approx(0.5 * 1.7**2)
+        np.testing.assert_allclose(output_gradients(preds, t, config)[0, 0], [1.7])
 
     def test_hand_gradient(self):
-        preds = np.array([[1.0], [3.0]])
-        t = np.array([2.0])
-        g = ncl_output_gradient(preds[0], preds.mean(axis=0), t, 0.5)
-        np.testing.assert_allclose(g, [-0.5])
+        preds, t = stack([1.0], [3.0]), np.array([[2.0]])
+        g = output_gradients(preds, t, MethodConfig("ncl", 0.5))
+        np.testing.assert_allclose(g[0, 0], [-0.5])
 
     def test_gradient_matches_frozen_mean_finite_differences(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            m = int(rng.integers(2, 21))
-            o = int(rng.integers(1, 6))
-            preds = rng.normal(size=(m, o))
-            t = rng.normal(size=o)
-            lam = float(rng.uniform(-0.5, 1.5))
-            i = int(rng.integers(0, m))
-            fbar = preds.mean(axis=0)
-            grad = ncl_output_gradient(preds[i], fbar, t, lam)
-            fd = central_diff(lambda ff: ncl_loss(ff, preds, t, lam, i), preds[i].copy())
-            assert rel_err(grad, fd) < 1e-8
+        assert_fd_match(np.random.default_rng(1), lambda rng: MethodConfig("ncl", rng.uniform(-0.5, 1.5)))
 
 
 class TestNclStarLoss:
     def test_gamma_zero_is_mse(self):
-        f, fbar, t = np.array([2.0]), np.array([1.0]), np.array([0.0])
-        assert nclstar_loss(f, fbar, t, 0.0) == pytest.approx(2.0)
-        np.testing.assert_allclose(nclstar_output_gradient(f, fbar, t, 0.0, 5), [2.0])
+        # f_0 = 2 with fbar = 1 over M = 5 learners
+        preds, t = stack([2.0], [0.75], [0.75], [0.75], [0.75]), np.array([[0.0]])
+        config = MethodConfig("nclstar", 0.0)
+        assert learner_losses(preds, preds, t, config)[0, 0] == pytest.approx(2.0)
+        np.testing.assert_allclose(output_gradients(preds, t, config)[0, 0], [2.0])
 
     def test_at_mean_gradient_is_error(self):
-        f = np.array([1.4])
-        np.testing.assert_allclose(
-            nclstar_output_gradient(f, f, np.array([0.4]), 0.9, 3), [1.0]
-        )
+        preds, t = stack([1.4], [1.4], [1.4]), np.array([[0.4]])
+        np.testing.assert_allclose(output_gradients(preds, t, MethodConfig("nclstar", 0.9))[0, 0], [1.0])
 
     def test_hand_gradient(self):
         # M=2, f=(1,3), t=2, gamma=1: delta_1 = (1-2) - (1/2)(1-2) = -0.5
-        preds = np.array([[1.0], [3.0]])
-        g = nclstar_output_gradient(preds[0], preds.mean(axis=0), np.array([2.0]), 1.0, 2)
-        np.testing.assert_allclose(g, [-0.5])
+        preds, t = stack([1.0], [3.0]), np.array([[2.0]])
+        g = output_gradients(preds, t, MethodConfig("nclstar", 1.0))
+        np.testing.assert_allclose(g[0, 0], [-0.5])
 
     def test_gradient_matches_live_mean_finite_differences(self):
-        # fbar is recomputed from the perturbed f_i inside the probe, so the
-        # (1 - 1/M) correction is what finite differences must reproduce.
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            m = int(rng.integers(2, 21))
-            o = int(rng.integers(1, 6))
-            preds = rng.normal(size=(m, o))
-            t = rng.normal(size=o)
-            gamma = float(rng.uniform(-0.5, 1.5))
-            i = int(rng.integers(0, m))
-            others = preds.sum(axis=0) - preds[i]
-
-            def loss_live(ff):
-                fbar = (others + ff) / m
-                return nclstar_loss(ff, fbar, t, gamma)
-
-            grad = nclstar_output_gradient(preds[i], preds.mean(axis=0), t, gamma, m)
-            fd = central_diff(loss_live, preds[i].copy())
-            assert rel_err(grad, fd) < 1e-8
+        # The table recomputes fbar from the perturbed f_i, so the (1 - 1/M)
+        # correction is what finite differences must reproduce.
+        assert_fd_match(
+            np.random.default_rng(2), lambda rng: MethodConfig("nclstar", rng.uniform(-0.5, 1.5))
+        )
 
 
 class TestGradientRelations:
@@ -197,45 +181,46 @@ class TestGradientRelations:
         rng = np.random.default_rng(3)
         for _ in range(300):
             m = int(rng.integers(2, 21))
+            n = int(rng.integers(1, 4))
             o = int(rng.integers(1, 6))
-            preds = rng.normal(size=(m, o))
-            t = rng.normal(size=o)
+            preds = rng.normal(size=(m, n, o))
+            t = rng.normal(size=(n, o))
             lo = -1.0 / (m - 1)
             k = float(rng.uniform(lo + 0.05, 2.2))
-            i = int(rng.integers(0, m))
-            fbar = preds.mean(axis=0)
-            g_i = complementary_prediction(preds, t, i)
-            sea = sea_output_gradient(preds[i], g_i, t, k)
+            sea = output_gradients(preds, t, MethodConfig("sea", k))
             lam = theory.lambda_from_k(k, m)
-            ncl = ncl_output_gradient(preds[i], fbar, t, lam)
+            ncl = output_gradients(preds, t, MethodConfig("ncl", lam))
             np.testing.assert_allclose(sea, (1 + k * (m - 1)) * ncl, rtol=1e-12, atol=1e-12)
 
     def test_nclstar_equals_ncl_with_mapped_lambda(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
             m = int(rng.integers(2, 21))
+            n = int(rng.integers(1, 4))
             o = int(rng.integers(1, 6))
-            preds = rng.normal(size=(m, o))
-            t = rng.normal(size=o)
+            preds = rng.normal(size=(m, n, o))
+            t = rng.normal(size=(n, o))
             gamma = float(rng.uniform(-1.0, 1.5))
-            i = int(rng.integers(0, m))
-            fbar = preds.mean(axis=0)
-            star = nclstar_output_gradient(preds[i], fbar, t, gamma, m)
+            star = output_gradients(preds, t, MethodConfig("nclstar", gamma))
             lam = gamma * (m - 1.0) / m
-            ncl = ncl_output_gradient(preds[i], fbar, t, lam)
+            ncl = output_gradients(preds, t, MethodConfig("ncl", lam))
             np.testing.assert_array_equal(star, ncl)
 
     def test_k_one_step_contracts_toward_complement(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
+            m = int(rng.integers(2, 21))
             o = int(rng.integers(1, 6))
-            f = rng.normal(size=o)
-            g_i = rng.normal(size=o)
-            t = rng.normal(size=o)
+            preds = rng.normal(size=(m, 1, o))
+            t = rng.normal(size=(1, o))
+            g = complementary_prediction(preds, t)
             alpha = 0.1
-            step = sea_output_gradient(f, g_i, t, 1.0)
-            f2 = f - alpha * step
-            assert np.linalg.norm(f2 - g_i) < np.linalg.norm(f - g_i) or np.allclose(f, g_i)
+            step = output_gradients(preds, t, MethodConfig("sea", 1.0))
+            f2 = preds - alpha * step
+            for i in range(m):
+                assert np.linalg.norm(f2[i] - g[i]) < np.linalg.norm(preds[i] - g[i]) or np.allclose(
+                    preds[i], g[i]
+                )
 
 
 class TestEnsemblePredict:
@@ -275,9 +260,33 @@ class TestDispatch:
         deltas = output_gradients(preds, t, MethodConfig("sea", k))
         for i in range(m):
             for s in range(n):
-                g_i = complementary_prediction(preds[:, s, :], t[s], i)
-                expected = sea_output_gradient(preds[i, s], g_i, t[s], k)
+                fbar = preds[:, s, :].mean(axis=0)
+                g_i = m * (t[s] - fbar) + preds[i, s]
+                expected = (preds[i, s] - t[s]) - k * (g_i - t[s])
                 np.testing.assert_allclose(deltas[i, s], expected, rtol=0, atol=1e-12)
+
+    def test_loss_table_at_anchor_matches_hand_formulas(self):
+        rng = np.random.default_rng(8)
+        m, n, o = 4, 6, 2
+        preds = rng.normal(size=(m, n, o))
+        t = rng.normal(size=(n, o))
+        fbar = preds.mean(axis=0)
+        sq = 0.5 * ((preds - t) ** 2).sum(axis=2)
+        dev2 = ((preds - fbar) ** 2).sum(axis=2)
+        g = complementary_prediction(preds, t)
+        r = (preds - t) - 0.7 * (g - t)
+        np.testing.assert_allclose(
+            learner_losses(preds, preds, t, MethodConfig("sea", 0.7)), 0.5 * (r * r).sum(axis=2), rtol=1e-12
+        )
+        # classical penalty (f_i - fbar) . sum_{j != i} (f_j - fbar) = -|f_i - fbar|^2
+        np.testing.assert_allclose(
+            learner_losses(preds, preds, t, MethodConfig("ncl", 0.6)), sq - 0.6 * dev2, rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            learner_losses(preds, preds, t, MethodConfig("nclstar", 0.6)), sq - 0.3 * dev2, rtol=1e-12
+        )
+        for method in ("independent", "bagging"):
+            np.testing.assert_array_equal(learner_losses(preds, preds, t, MethodConfig(method)), sq)
 
 
 class TestTrainEpoch:
@@ -320,20 +329,23 @@ class TestTrainEpoch:
         ds, _ = standardize(synth_regression(200, 0.1, 21))
         for k in (0.0, 0.5, 1.0, 1.5, 2.0):
             ens = build_ensemble(2, [10, 10], 1, 5, MethodConfig("sea", k), seed=7)
-            first = train_epoch(ens, ds.features, ds.targets, 0.02)
-            for _ in range(49):
+            first_sq = sq_error(ens, ds.features, ds.targets)
+            for _ in range(50):
                 train_epoch(ens, ds.features, ds.targets, 0.02)
-            fbar = ensemble_predict_batch(ens, ds.features)
-            final_sq = float(((fbar - ds.targets) ** 2).sum(axis=1).mean())
-            assert final_sq < first.ensemble_sq_error, f"no descent at k={k}"
+            final_sq = sq_error(ens, ds.features, ds.targets)
+            assert final_sq < first_sq, f"no descent at k={k}"
 
     def test_diagnostics_fields(self):
+        # train_epoch reports nothing; the per-step quantities come from the
+        # loss table and the predictions when a caller asks for them
         ds, _ = standardize(synth_regression(30, 0.1, 3))
         ens = build_ensemble(2, [4], 1, 4, MethodConfig("ncl", 0.5), seed=2)
-        diag = train_epoch(ens, ds.features, ds.targets, 0.05)
-        assert diag.learner_losses.shape == (4,)
-        assert diag.ensemble_sq_error >= 0
-        assert diag.prediction_std >= 0
+        preds, _ = predictions_batch(ens, ds.features)
+        losses = learner_losses(preds, preds, ds.targets, ens.config).mean(axis=1)
+        assert train_epoch(ens, ds.features, ds.targets, 0.05) is None
+        assert losses.shape == (4,)
+        assert float(((preds.mean(axis=0) - ds.targets) ** 2).sum(axis=1).mean()) >= 0
+        assert theory.empirical_std(preds) >= 0
 
 
 class TestBagging:
@@ -359,10 +371,45 @@ class TestBagging:
         ens = build_ensemble(
             2, [5], 1, 3, MethodConfig("bagging"), seed=4, n_train=ds.n_samples
         )
-        first = train_epoch(ens, ds.features, ds.targets, 0.1)
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        first_sq = sq_error(ens, ds.features, ds.targets)
         for _ in range(30):
-            last = train_epoch(ens, ds.features, ds.targets, 0.1)
-        assert last.ensemble_sq_error < first.ensemble_sq_error
+            train_epoch(ens, ds.features, ds.targets, 0.1)
+        assert sq_error(ens, ds.features, ds.targets) < first_sq
+
+    def test_step_is_independent_loss_on_bootstrap_rows(self):
+        ds, _ = standardize(synth_regression(50, 0.1, 12))
+        ens = build_ensemble(2, [6, 4], 1, 3, MethodConfig("bagging"), seed=8, n_train=ds.n_samples)
+        expected = []
+        for learner, idx in zip(ens.learners, ens.bootstrap):
+            y, trace = forward_batch(learner, ds.features[idx])
+            grads = backward_batch(learner, trace, (y - ds.targets[idx]) / len(idx))
+            expected.append(sgd_step(learner, grads, 0.1))
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        for got, want in zip(ens.learners, expected):
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_bootstrap_beyond_batch_rejected(self):
+        ds, _ = standardize(synth_regression(20, 0.1, 1))
+        ens = build_ensemble(2, [3], 1, 2, MethodConfig("bagging"), seed=0, n_train=ds.n_samples)
+        with pytest.raises(ValueError, match="exceed batch size"):
+            train_epoch(ens, ds.features[:10], ds.targets[:10], 0.1)
+
+
+class TestGradcheck:
+    def test_wrong_convention_fails(self, monkeypatch):
+        real = gradcheck.output_gradients
+
+        def ncl_for_nclstar(preds, t, config):
+            if config.method == "nclstar":
+                config = MethodConfig("ncl", config.param)
+            return real(preds, t, config)
+
+        monkeypatch.setattr(gradcheck, "output_gradients", ncl_for_nclstar)
+        results = {r.name: r for r in gradcheck.check_loss_gradients(n_states=50)}
+        assert not results["nclstar_gradient"].passed
+        assert results["sea_gradient"].passed and results["ncl_gradient"].passed
 
 
 class TestCheckpoint:

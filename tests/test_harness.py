@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sea_ensemble import harness, theory
-from sea_ensemble.data import CLASSIFICATION
-from sea_ensemble.ensemble import build_ensemble, MethodConfig
+from sea_ensemble.data import CLASSIFICATION, synth_regression
+from sea_ensemble.ensemble import MethodConfig, bootstrap_indices, build_ensemble
+from sea_ensemble.mlp import init_mlp
+from sea_ensemble.seeds import derive_seed
 from sea_ensemble.harness import (
     BOUNDARY_METRIC_CAP,
     ExperimentConfig,
@@ -18,10 +20,16 @@ from sea_ensemble.harness import (
     load_sweep,
     persist_sweep,
     rmse,
-    run_cv,
     run_sweep,
     sweep_curve,
 )
+
+# Literal seeds of the layout for master seed 0 (sha256-derived; see seeds.py).
+DATA_SEED_0 = 5645879620718662389
+FOLD_SEEDS_0 = [331887026339243623, 3367651842999336005]
+SPLIT_10_SEED_0 = [[2, 3, 5, 6, 9], [0, 1, 4, 7, 8]]
+LEARNER_SEEDS_FOLD0 = [931938705055866163, 5006271187167075946]
+BOOTSTRAP_SEED_FOLD0 = 5654357067271204684
 
 
 def small_cfg(**kw) -> ExperimentConfig:
@@ -40,6 +48,12 @@ def small_cfg(**kw) -> ExperimentConfig:
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def cell_rows(cfg: ExperimentConfig, method: str, param: float, m: int) -> list[harness.SweepRow]:
+    """All fold rows of one (method, param, M) cell, through run_sweep."""
+    cell = {**cfg.to_dict(), "method": method, "grid": [param], "m_list": [m]}
+    return run_sweep(ExperimentConfig.from_dict(cell)).rows
 
 
 class TestMetrics:
@@ -108,8 +122,28 @@ class TestSeedIsolation:
             for wa, wb in zip(ma.weights, mb.weights):
                 np.testing.assert_array_equal(wa, wb)
 
+    def test_seed_layout_pinned(self):
+        # The documented contract (seeds.py, README): data and split from the
+        # master seed, learners and bootstrap from the fold seed.
+        cfg = small_cfg(seed=0, folds=2)
+        assert derive_seed(0, "data") == DATA_SEED_0
+        synth = synth_regression(80, 0.1, DATA_SEED_0)
+        np.testing.assert_array_equal(load_dataset(cfg).features, synth.features)
+        assert [fold_seed(cfg, f) for f in range(2)] == FOLD_SEEDS_0
+        split = fold_split_for(cfg, 10)
+        assert [fold.tolist() for fold in split.folds] == SPLIT_10_SEED_0
+        assert [derive_seed(FOLD_SEEDS_0[0], "learner", i) for i in range(2)] == LEARNER_SEEDS_FOLD0
+        assert derive_seed(FOLD_SEEDS_0[0], "bootstrap") == BOOTSTRAP_SEED_FOLD0
+        ens = build_ensemble(2, [3], 1, 2, MethodConfig("bagging"), seed=fold_seed(cfg, 0), n_train=10)
+        for learner, seed in zip(ens.learners, LEARNER_SEEDS_FOLD0):
+            np.testing.assert_array_equal(learner.weights[0], init_mlp(2, [3], 1, seed).weights[0])
+        for got, want in zip(ens.bootstrap, bootstrap_indices(10, 2, BOOTSTRAP_SEED_FOLD0)):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestRunCv:
+    """One (method, param, M) cell over all folds, run through run_sweep."""
+
     def test_fold_sizes(self):
         cfg = small_cfg(synth=SynthSpec(n=100, noise_sd=0.1), folds=5)
         ds = load_dataset(cfg)
@@ -118,27 +152,28 @@ class TestRunCv:
 
     def test_deterministic(self):
         cfg = small_cfg()
-        a = run_cv(cfg, "sea", 0.5, 3)
-        b = run_cv(cfg, "sea", 0.5, 3)
+        a = cell_rows(cfg, "sea", 0.5, 3)
+        b = cell_rows(cfg, "sea", 0.5, 3)
         assert a == b
+        assert [r.epoch0_metric for r in a] == [r.epoch0_metric for r in b]
 
     def test_independent_equals_sea_k0(self):
         cfg = small_cfg()
-        a = run_cv(cfg, "sea", 0.0, 3)
-        b = run_cv(cfg, "independent", 0.0, 3)
+        a = cell_rows(cfg, "sea", 0.0, 3)
+        b = cell_rows(cfg, "independent", 0.0, 3)
         assert [r.metric for r in a] == [r.metric for r in b]
 
     def test_epoch0_metric_present(self):
         cfg = small_cfg(epochs=5)
-        results = run_cv(cfg, "sea", 0.5, 3)
+        results = cell_rows(cfg, "sea", 0.5, 3)
         for r in results:
             assert np.isfinite(r.epoch0_metric)
-            assert r.epochs_run == 5 and not r.diverged
+            assert r.epochs == 5 and not r.diverged
 
     def test_divergence_flagged_not_raised(self):
         # far beyond the boundary at a hot learning rate: must flag, not throw
         cfg = small_cfg(epochs=300, alpha=1.0, grid=(8.0,))
-        results = run_cv(cfg, "sea", 8.0, 3)
+        results = cell_rows(cfg, "sea", 8.0, 3)
         assert any(r.diverged for r in results)
         for r in results:
             if r.diverged:
@@ -146,7 +181,7 @@ class TestRunCv:
 
     def test_bagging_runs(self):
         cfg = small_cfg(method="bagging", grid=(0.0,))
-        results = run_cv(cfg, "bagging", 0.0, 3)
+        results = cell_rows(cfg, "bagging", 0.0, 3)
         assert all(np.isfinite(r.metric) for r in results)
 
     def test_classification_metric(self, tmp_path):
@@ -159,7 +194,7 @@ class TestRunCv:
             synth=None, dataset_path=str(path), task=CLASSIFICATION,
             grid=(0.0,), epochs=30,
         )
-        results = run_cv(cfg, "sea", 0.0, 3)
+        results = cell_rows(cfg, "sea", 0.0, 3)
         for r in results:
             assert 0.0 <= r.metric <= 1.0
 
@@ -204,8 +239,8 @@ class TestSweep:
     def test_metric_on_train_flag(self):
         test_cfg = small_cfg(epochs=40, grid=(0.0,))
         train_cfg = small_cfg(epochs=40, grid=(0.0,), metric_on_train=True)
-        r_test = run_cv(test_cfg, "sea", 0.0, 3)
-        r_train = run_cv(train_cfg, "sea", 0.0, 3)
+        r_test = cell_rows(test_cfg, "sea", 0.0, 3)
+        r_train = cell_rows(train_cfg, "sea", 0.0, 3)
         # training folds are fit directly, so the train metric is lower
         assert np.mean([r.metric for r in r_train]) < np.mean([r.metric for r in r_test])
 
