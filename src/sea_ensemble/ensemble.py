@@ -23,6 +23,12 @@ prediction stack; :func:`output_gradients` is its gradient under each
 method's convention and is what training uses. All five methods share the
 one training step, :func:`train_epoch`. Cross-learner gradient terms are
 dropped throughout: learner i's parameters only feel d(e_i)/d(f_i).
+
+The M learners live in one stacked :class:`~sea_ensemble.mlp.MLP` (each
+layer one (M, fan_out, fan_in) weight array and one (M, fan_out) bias
+array), so a training step is one batched forward, one batched backward and
+one update, with no loop over learners. ``EnsembleModel.learners`` gives
+per-learner views of the stack for checkpoints and inspection.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ import numpy as np
 from . import theory
 from .mlp import (
     MLP,
-    DivergenceError,
     backward_batch,
     forward_batch,
     init_mlp,
@@ -65,22 +70,34 @@ class MethodConfig:
         object.__setattr__(self, "param", float(self.param))
 
 
-@dataclass
 class EnsembleModel:
-    """M base learners sharing input/output widths, plus the training method."""
+    """M base learners sharing layer shapes, held as one stacked MLP, plus the training method.
 
-    learners: list[MLP]
-    config: MethodConfig
-    seed: int
-    bootstrap: list[np.ndarray] | None = None
+    The constructor takes the learners as a list of single networks and
+    stacks them into ``net``; ``learners`` returns per-learner views of it.
+    Bagging's bootstrap resamples are kept as one (M, n) index array.
+    """
 
-    def __post_init__(self):
-        if not self.learners:
+    def __init__(
+        self,
+        learners: list[MLP],
+        config: MethodConfig,
+        seed: int,
+        bootstrap: list[np.ndarray] | None = None,
+    ):
+        if not learners:
             raise ValueError("ensemble needs at least one learner")
-        d_in, d_out = self.learners[0].d_in, self.learners[0].d_out
-        for i, m in enumerate(self.learners):
-            if m.d_in != d_in or m.d_out != d_out:
-                raise ValueError(f"learner {i} widths differ from learner 0")
+        shapes = [w.shape for w in learners[0].weights]
+        for i, m in enumerate(learners):
+            if [w.shape for w in m.weights] != shapes:
+                raise ValueError(f"learner {i} layer shapes differ from learner 0")
+        self.net = MLP(
+            tuple(np.stack(ws) for ws in zip(*(m.weights for m in learners))),
+            tuple(np.stack(bs) for bs in zip(*(m.biases for m in learners))),
+        )
+        self.config = config
+        self.seed = seed
+        self.bootstrap = None if bootstrap is None else np.stack(bootstrap)
         if self.config.method in ADJUSTABLE and self.m < 2:
             raise ValueError(f"{self.config.method} requires M >= 2, got M={self.m}")
         if self.config.method == "sea":
@@ -94,16 +111,24 @@ class EnsembleModel:
             raise ValueError("bagging ensemble needs bootstrap indices")
 
     @property
+    def learners(self) -> list[MLP]:
+        """Learner i as a single-network MLP whose arrays are views into the stack."""
+        return [
+            MLP(tuple(w[i] for w in self.net.weights), tuple(b[i] for b in self.net.biases))
+            for i in range(self.m)
+        ]
+
+    @property
     def m(self) -> int:
-        return len(self.learners)
+        return self.net.weights[0].shape[0]
 
     @property
     def d_in(self) -> int:
-        return self.learners[0].d_in
+        return self.net.d_in
 
     @property
     def d_out(self) -> int:
-        return self.learners[0].d_out
+        return self.net.d_out
 
 
 def build_ensemble(
@@ -143,14 +168,9 @@ def bootstrap_indices(n: int, m: int, seed: int) -> list[np.ndarray]:
 # predictions
 
 
-def predictions_batch(ens: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """All learner outputs on an (N, D) batch: returns (M, N, O) plus traces."""
-    outs, traces = [], []
-    for m in ens.learners:
-        y, tr = forward_batch(m, x)
-        outs.append(y)
-        traces.append(tr)
-    return np.stack(outs), traces
+def predictions_batch(ens: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """All learner outputs on an (N, D) batch: returns (M, N, O) plus the stacked trace."""
+    return forward_batch(ens.net, x)
 
 
 def ensemble_predict_batch(ens: EnsembleModel, x: np.ndarray) -> np.ndarray:
@@ -238,7 +258,9 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
     computed from the pre-update parameters, and every learner takes one SGD
     step at the end. Gradients are averaged over the batch. A bagging learner
     weights each row by the number of times its bootstrap resample drew it,
-    so its gradient is sum_r c_r (f_r - t_r) / n.
+    so its gradient is sum_r c_r (f_r - t_r) / n. If any learner's update is
+    non-finite, the :class:`DivergenceError` names the lowest such learner
+    and the ensemble is left unchanged.
     """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")
@@ -251,27 +273,21 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
     if x.shape[0] != t.shape[0]:
         raise ValueError(f"batch has {x.shape[0]} inputs but {t.shape[0]} targets")
     n = x.shape[0]
-    if ens.bootstrap is not None and any(idx.max() >= n for idx in ens.bootstrap):
+    if ens.bootstrap is not None and ens.bootstrap.max() >= n:
         raise ValueError("bootstrap indices exceed batch size; bagging trains full-batch")
 
     # Overflow in a diverging run surfaces as DivergenceError at the update.
     with np.errstate(over="ignore", invalid="ignore"):
-        preds, traces = predictions_batch(ens, x)
+        preds, trace = predictions_batch(ens, x)
         deltas = output_gradients(preds, t, ens.config)
         if ens.bootstrap is not None:
-            deltas *= np.stack([np.bincount(idx, minlength=n) for idx in ens.bootstrap])[:, :, None]
-        grads = [
-            backward_batch(learner, trace, deltas[i] / n)
-            for i, (learner, trace) in enumerate(zip(ens.learners, traces))
-        ]
-    updated = []
-    for i, (learner, g) in enumerate(zip(ens.learners, grads)):
-        try:
-            updated.append(sgd_step(learner, g, alpha))
-        except DivergenceError as exc:
-            exc.learner = i
-            raise
-    ens.learners = updated
+            # row r of learner i counts how often resample i drew r
+            m = ens.m
+            offsets = n * np.arange(m)[:, None]
+            counts = np.bincount((ens.bootstrap + offsets).ravel(), minlength=m * n)
+            deltas *= counts.reshape(m, n)[:, :, None]
+        grads = backward_batch(ens.net, trace, deltas / n)
+    ens.net = sgd_step(ens.net, grads, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +315,7 @@ def ensemble_from_json(text: str) -> EnsembleModel:
     learners = [mlp_from_dict(d) for d in doc["learners"]]
     bootstrap = None
     if doc["bootstrap"] is not None:
-        bootstrap = [np.asarray(idx, dtype=np.int64) for idx in doc["bootstrap"]]
+        bootstrap = np.asarray(doc["bootstrap"], dtype=np.int64)
     return EnsembleModel(
         learners, MethodConfig(doc["method"], doc["param"]), doc["seed"], bootstrap
     )

@@ -36,12 +36,12 @@ from .data import (
 )
 from .ensemble import (
     ADJUSTABLE,
-    DivergenceError,
     MethodConfig,
     build_ensemble,
     predictions_batch,
     train_epoch,
 )
+from .mlp import DivergenceError
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)

@@ -1,9 +1,14 @@
-"""Minimal multilayer perceptron base learner.
+"""Minimal multilayer perceptron base learner, alone or as a stack of M.
 
 Sigmoid hidden layers, linear output, explicit forward/backward in float64,
 and a plain SGD update. The backward pass starts from a caller-supplied
 output-space gradient, so any per-learner ensemble loss can drive training
 without the network knowing about it.
+
+Every kernel takes the parameters of one network or of M same-shape networks
+stacked along a leading learner axis, so an ensemble trains as one array
+program: one batched matmul per layer, not M calls. The per-learner slices
+of a stack compute bitwise the same values as M single-network calls.
 """
 
 from __future__ import annotations
@@ -23,7 +28,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MLP:
-    """Layered affine maps; weights[l] is (fan_out, fan_in), biases[l] is (fan_out,)."""
+    """Layered affine maps; weights[l] is (fan_out, fan_in), biases[l] is (fan_out,).
+
+    A stack of M networks adds a leading learner axis to every layer:
+    weights[l] is (M, fan_out, fan_in) and biases[l] is (M, fan_out).
+    """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -33,11 +42,12 @@ class MLP:
         object.__setattr__(self, "biases", tuple(np.asarray(b, dtype=np.float64) for b in self.biases))
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need matching, nonempty weight and bias lists")
+        stack = self.weights[0].shape[:-2]
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            if w.ndim not in (2, 3) or w.shape[:-2] != stack or b.shape != w.shape[:-1]:
                 raise ValueError(f"layer {l}: weight {w.shape} and bias {b.shape} mismatch")
-            if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
-                raise ValueError(f"layer {l}: fan_in {w.shape[1]} does not chain")
+            if l > 0 and w.shape[-1] != self.weights[l - 1].shape[-2]:
+                raise ValueError(f"layer {l}: fan_in {w.shape[-1]} does not chain")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {l}: non-finite parameters")
 
@@ -47,11 +57,11 @@ class MLP:
 
     @property
     def d_in(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
 
     @property
     def d_out(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,8 @@ def forward_batch(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
     The trace is the list of layer inputs [a_0 .. a_{L-1}] plus the final
     output, i.e. acts[l] feeds layer l. Hidden activations are sigmoid, the
-    output layer is linear.
+    output layer is linear. A stack of M networks shares the input and
+    returns (M, N, O) outputs; its trace entries past the input are (M, N, H).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.d_in:
@@ -102,7 +113,7 @@ def forward_batch(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     a = x
     last = m.n_layers - 1
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        z = a @ w.T + b
+        z = np.matmul(a, np.swapaxes(w, -1, -2)) + b[..., None, :]
         a = z if l == last else _sigmoid(z)
         acts.append(a)
     return a, acts
@@ -121,7 +132,8 @@ def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray) -> ML
     """Backpropagate (N, O) output-space gradients; returns gradients summed over the batch.
 
     ``trace`` must come from :func:`forward_batch` on the same parameters;
-    ``delta_out`` is d(loss)/d(output) per sample. The MLP is not mutated.
+    ``delta_out`` is d(loss)/d(output) per sample, (M, N, O) for a stack.
+    The MLP is not mutated.
     """
     delta_out = np.asarray(delta_out, dtype=np.float64)
     n_layers = m.n_layers
@@ -136,11 +148,11 @@ def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray) -> ML
     g = delta_out
     for l in range(n_layers - 1, -1, -1):
         a_in = trace[l]
-        d_weights[l] = g.T @ a_in
-        d_biases[l] = g.sum(axis=0)
+        d_weights[l] = np.matmul(np.swapaxes(g, -1, -2), a_in)
+        d_biases[l] = g.sum(axis=-2)
         if l > 0:
             a_prev = trace[l]  # sigmoid output feeding layer l
-            g = (g @ m.weights[l]) * (a_prev * (1.0 - a_prev))
+            g = np.matmul(g, m.weights[l]) * (a_prev * (1.0 - a_prev))
     return MLPGradients(tuple(d_weights), tuple(d_biases))
 
 
@@ -153,7 +165,12 @@ def backward(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray) -> MLPGradi
 
 
 def sgd_step(m: MLP, g: MLPGradients, alpha: float) -> MLP:
-    """Return the MLP after one step theta <- theta - alpha * grad."""
+    """Return the MLP after one step theta <- theta - alpha * grad.
+
+    A non-finite updated parameter raises :class:`DivergenceError`. On a stack
+    it names the lowest learner index with a non-finite layer, and the
+    message names that learner's lowest such layer.
+    """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")
     weights = []
@@ -163,12 +180,15 @@ def sgd_step(m: MLP, g: MLPGradients, alpha: float) -> MLP:
         for l, (w, b, dw, db) in enumerate(zip(m.weights, m.biases, g.d_weights, g.d_biases)):
             if dw.shape != w.shape or db.shape != b.shape:
                 raise ValueError(f"layer {l}: gradient shape mismatch")
-            w2 = w - alpha * dw
-            b2 = b - alpha * db
-            if not (np.isfinite(w2).all() and np.isfinite(b2).all()):
-                raise DivergenceError(f"non-finite parameter after update in layer {l}")
-            weights.append(w2)
-            biases.append(b2)
+            weights.append(w - alpha * dw)
+            biases.append(b - alpha * db)
+    # finite[l] is one flag for a single network, one per learner for a stack
+    finite = np.array([np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
+                       for w, b in zip(weights, biases)])
+    if not finite.all():
+        learner = None if finite.ndim == 1 else int(np.argmin(finite.all(axis=0)))
+        layer = int(np.argmin(finite if learner is None else finite[:, learner]))
+        raise DivergenceError(f"non-finite parameter after update in layer {layer}", learner=learner)
     return MLP(tuple(weights), tuple(biases))
 
 
