@@ -87,13 +87,9 @@ def init_mlp(d_in: int, hidden: list[int], d_out: int, seed: int) -> MLP:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable both directions: exp of a nonpositive argument only.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # One pass and no mask: tanh saturates instead of overflowing. Within
+    # 2.3e-16 absolute of 1/(1+exp(-z)); exactly 0 below z ~ -38.
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def forward_batch(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
