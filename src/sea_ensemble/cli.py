@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, gradcheck, harness
 from .data import standardize
-from .ensemble import MethodConfig, build_ensemble, ensemble_to_json, predictions_batch, train_epoch
+from .ensemble import MethodConfig, build_ensemble, ensemble_to_json, predictions_batch
 from .harness import ExperimentConfig, SynthSpec
 
 log = logging.getLogger("sea_ensemble.cli")
@@ -202,7 +202,7 @@ def _cmd_train(args) -> int:
     )
     log.info("training %s param=%g M=%d for %d epochs", cfg.method, param, m, cfg.epochs)
     for _ in range(cfg.epochs):
-        train_epoch(ens, train.features, train.targets, cfg.alpha)
+        harness.run_epoch(ens, train, cfg)
     preds, _ = predictions_batch(ens, train.features)
     metric = harness.metric_for_task(cfg.task)(preds.mean(axis=0), train.targets)
     out = Path(cfg.outdir) / "checkpoint.json"

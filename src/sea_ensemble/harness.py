@@ -36,6 +36,7 @@ from .data import (
 )
 from .ensemble import (
     ADJUSTABLE,
+    EnsembleModel,
     MethodConfig,
     build_ensemble,
     predictions_batch,
@@ -287,7 +288,7 @@ def run_fold(
         epochs_run = 0
         for _ in range(cfg.epochs):
             try:
-                _run_one_epoch(ens, train, cfg)
+                run_epoch(ens, train, cfg)
             except DivergenceError:
                 diverged = True
                 break
@@ -305,8 +306,11 @@ def run_fold(
     return FoldResult(fold, value, epoch0, spread, epochs_run, False)
 
 
-def _run_one_epoch(ens, train: Dataset, cfg: ExperimentConfig) -> None:
-    # Bagging always trains full-batch: bootstrap rows index the whole set.
+def run_epoch(ens: EnsembleModel, train: Dataset, cfg: ExperimentConfig) -> None:
+    """One pass over ``train``: ``cfg.batch_size`` rows per step, or one full-batch step.
+
+    Bagging always trains full-batch: its bootstrap rows index the whole set.
+    """
     if cfg.batch_size is None or ens.config.method == "bagging":
         train_epoch(ens, train.features, train.targets, cfg.alpha)
         return
@@ -346,37 +350,46 @@ class SweepResult:
     wall_time: float = field(default=0.0, compare=False)
 
 
-def _sweep_job(cfg_dict: dict, method: str, param: float, m: int, fold: int) -> SweepRow:
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    ds = load_dataset(cfg)
-    split = fold_split_for(cfg, ds.n_samples)
+def _sweep_row(cfg, ds, split, method, param, m, fold) -> SweepRow:
     r = run_fold(cfg, method, param, m, ds, split, fold)
-    return SweepRow(
-        method, param, m, fold, r.metric, r.std, r.epochs_run, r.diverged, r.epoch0_metric
-    )
+    return SweepRow(method, param, m, fold, r.metric, r.std, r.epochs_run, r.diverged, r.epoch0_metric)
+
+
+# A pool worker's (config, dataset, split), set once per worker by its initializer.
+_worker_inputs: tuple = ()
+
+
+def _init_sweep_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _sweep_job(method: str, param: float, m: int, fold: int) -> SweepRow:
+    return _sweep_row(*_worker_inputs, method, param, m, fold)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """The full (grid x m_list x folds) product for the configured method."""
+    """The full (grid x m_list x folds) product for the configured method.
+
+    The dataset is loaded and split once; with ``cfg.workers > 1`` each pool
+    worker receives them when it starts, not with every job.
+    """
     started = time.perf_counter()
     jobs = [
-        (cfg.to_dict(), cfg.method, param, m, fold)
+        (cfg.method, param, m, fold)
         for param in cfg.grid
         for m in cfg.m_list
         for fold in range(cfg.folds)
     ]
+    ds = load_dataset(cfg)
+    split = fold_split_for(cfg, ds.n_samples)
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers, initializer=_init_sweep_worker, initargs=(cfg, ds, split)
+        ) as pool:
             rows = list(pool.map(_sweep_job, *zip(*jobs)))
     else:
-        ds = load_dataset(cfg)
-        split = fold_split_for(cfg, ds.n_samples)
-        rows = []
-        for _, method, param, m, fold in jobs:
-            r = run_fold(cfg, method, param, m, ds, split, fold)
-            rows.append(
-                SweepRow(method, param, m, fold, r.metric, r.std, r.epochs_run, r.diverged, r.epoch0_metric)
-            )
+        rows = [_sweep_row(cfg, ds, split, *job) for job in jobs]
     rows.sort(key=SweepRow.sort_key)
     n_div = sum(r.diverged for r in rows)
     if n_div:

@@ -5,7 +5,9 @@ import pytest
 
 from sea_ensemble import theory
 from sea_ensemble.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, _parse_float_list
-from sea_ensemble.ensemble import ensemble_from_json
+from sea_ensemble.data import standardize
+from sea_ensemble.ensemble import MethodConfig, build_ensemble, ensemble_from_json, ensemble_to_json, train_epoch
+from sea_ensemble.harness import ExperimentConfig, SynthSpec, fold_seed, load_dataset
 
 
 def run_cli(args, tmp_path, **env):
@@ -122,6 +124,24 @@ class TestTrain:
         ens = ensemble_from_json((tmp_path / "checkpoint.json").read_text())
         assert ens.m == 3
         assert ens.config.method == "sea" and ens.config.param == 0.5
+
+
+    def test_batch_size_honoured(self, tmp_path):
+        args = ["train", "--method", "sea", "--param", "0.5", "--grid", "0.5"] + BASE
+        assert main(args + ["--batch-size", "5", "--outdir", str(tmp_path / "mini")]) == EXIT_OK
+        assert main(args + ["--outdir", str(tmp_path / "full")]) == EXIT_OK
+        mini = (tmp_path / "mini" / "checkpoint.json").read_text()
+        full = (tmp_path / "full" / "checkpoint.json").read_text()
+        cfg = ExperimentConfig(synth=SynthSpec(n=60), method="sea", grid=(0.5,), m_list=(3,), folds=2,
+                               epochs=4, hidden=(5,))
+        train, _ = standardize(load_dataset(cfg))
+        ens = build_ensemble(train.n_features, [5], train.n_outputs, 3, MethodConfig("sea", 0.5),
+                             seed=fold_seed(cfg, 0))
+        for _ in range(cfg.epochs):
+            for start in range(0, train.n_samples, 5):
+                train_epoch(ens, train.features[start:start + 5], train.targets[start:start + 5], cfg.alpha)
+        assert mini == ensemble_to_json(ens)
+        assert mini != full
 
 
 class TestBoundary:

@@ -18,7 +18,7 @@ from sea_ensemble.ensemble import (
     predictions_batch,
     train_epoch,
 )
-from sea_ensemble.mlp import MLP, backward_batch, forward_batch, sgd_step
+from sea_ensemble.mlp import MLP, DivergenceError, backward_batch, forward_batch, init_mlp, sgd_step
 
 
 def table_diff(preds: np.ndarray, t: np.ndarray, config: MethodConfig, h: float = 1e-3) -> np.ndarray:
@@ -346,6 +346,59 @@ class TestTrainEpoch:
         assert losses.shape == (4,)
         assert float(((preds.mean(axis=0) - ds.targets) ** 2).sum(axis=1).mean()) >= 0
         assert theory.empirical_std(preds) >= 0
+
+
+def hand_step(learners, config, x, t, alpha, bootstrap=None):
+    """One train_epoch done learner by learner with the single-network kernels."""
+    outs = [forward_batch(net, x) for net in learners]
+    deltas = output_gradients(np.stack([y for y, _ in outs]), t, config)
+    if bootstrap is not None:
+        deltas *= np.stack([np.bincount(idx, minlength=len(x)) for idx in bootstrap])[:, :, None]
+    return [
+        sgd_step(net, backward_batch(net, trace, deltas[i] / len(x)), alpha)
+        for i, (net, (_, trace)) in enumerate(zip(learners, outs))
+    ]
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize(
+        "method,param", [("independent", 0.0), ("sea", 0.7), ("ncl", 0.4), ("nclstar", 0.6), ("bagging", 0.0)]
+    )
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_matches_single_network_kernels(self, method, param, m, rows):
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        x, t = ds.features, ds.targets
+        if rows is not None:
+            x, t = x[3 : 3 + rows], t[3 : 3 + rows]
+        ens = build_ensemble(2, [6, 4], 1, m, MethodConfig(method, param), seed=17, n_train=len(x))
+        expected = hand_step(ens.learners, ens.config, x, t, 0.1, ens.bootstrap)
+        train_epoch(ens, x, t, 0.1)
+        assert len(ens.learners) == m
+        for got, want in zip(ens.learners, expected):
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+                np.testing.assert_array_equal(a, b)
+
+    def test_divergence_names_learner_and_leaves_stack_unchanged(self):
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        learners = build_ensemble(2, [6, 4], 1, 5, MethodConfig("independent"), seed=17).learners
+        blown = learners[2]
+        learners[2] = MLP(blown.weights[:-1] + (np.full_like(blown.weights[-1], 1e300),), blown.biases)
+        ens = EnsembleModel(learners, MethodConfig("independent"), seed=17)
+        before = [a.copy() for a in ens.net.weights + ens.net.biases]
+        with pytest.raises(DivergenceError) as exc:
+            train_epoch(ens, ds.features, ds.targets, 0.1)
+        assert exc.value.learner == 2
+        after = ens.net.weights + ens.net.biases
+        assert len(after) == len(before)
+        for a, b in zip(after, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_mismatched_learner_shapes_rejected(self):
+        a = init_mlp(2, [3], 1, 0)
+        b = init_mlp(2, [4], 1, 1)
+        with pytest.raises(ValueError, match="learner 1"):
+            EnsembleModel([a, b], MethodConfig("sea", 0.5), seed=0)
 
 
 class TestBagging:

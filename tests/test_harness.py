@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,18 @@ class TestSweep:
         rows1 = run_sweep(cfg1).rows
         rows2 = run_sweep(cfg2).rows
         assert rows1 == rows2
+
+    def test_workers_do_not_reload_dataset(self, monkeypatch):
+        parent = os.getpid()
+        real = harness.load_dataset
+
+        def parent_only(cfg):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker loaded the dataset")
+            return real(cfg)
+
+        monkeypatch.setattr(harness, "load_dataset", parent_only)
+        assert len(run_sweep(small_cfg(epochs=2, workers=2)).rows) == 4
 
     def test_curve_caps_divergence(self):
         rows = [

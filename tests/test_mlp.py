@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sea_ensemble.mlp import (
     MLP,
     DivergenceError,
+    MLPGradients,
+    _sigmoid,
     backward,
     backward_batch,
     forward,
@@ -227,6 +231,55 @@ class TestSgd:
         huge = MLPGradients((np.array([[1e308]]),), (np.array([0.0]),))
         with pytest.raises(DivergenceError):
             sgd_step(m, huge, 1e10)
+
+
+class TestSigmoid:
+    def test_midpoint_exact(self):
+        assert _sigmoid(np.array([0.0]))[0] == 0.5
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _sigmoid(np.array([-1e3, 1e3]))
+        assert out.tolist() == [0.0, 1.0]
+
+    def test_matches_exp_forms(self):
+        z = np.linspace(-50, 50, 200001)
+        ref = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        # absolute, not relative: far left the tanh form is exactly 0
+        assert np.abs(_sigmoid(z) - ref).max() <= 2.3e-16
+
+
+class TestStack:
+    @staticmethod
+    def stack(m: int, widths=(2, 3, 1)) -> MLP:
+        pairs = list(zip(widths[:-1], widths[1:]))
+        return MLP(tuple(np.zeros((m, o, i)) for i, o in pairs), tuple(np.zeros((m, o)) for _, o in pairs))
+
+    def test_widths(self):
+        net = self.stack(4)
+        assert (net.n_layers, net.d_in, net.d_out) == (2, 2, 1)
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            MLP((np.zeros((3, 4, 2)), np.zeros((2, 1, 4))), (np.zeros((3, 4)), np.zeros((2, 1))))
+        with pytest.raises(ValueError, match="mismatch"):
+            MLP((np.zeros((3, 4, 2)),), (np.zeros(4),))
+        with pytest.raises(ValueError, match="chain"):
+            MLP((np.zeros((3, 4, 2)), np.zeros((3, 1, 5))), (np.zeros((3, 4)), np.zeros((3, 1))))
+        with pytest.raises(ValueError, match="non-finite"):
+            MLP((np.full((3, 4, 2), np.nan),), (np.zeros((3, 4)),))
+
+    def test_divergence_names_lowest_learner(self):
+        net = self.stack(5)
+        dw = [np.zeros_like(w) for w in net.weights]
+        dw[1][4] = 1e308
+        dw[1][2] = 1e308
+        dw[0][2, 1, 0] = -1e308
+        grads = MLPGradients(tuple(dw), tuple(np.zeros_like(b) for b in net.biases))
+        with pytest.raises(DivergenceError, match="layer 0") as exc:
+            sgd_step(net, grads, 1e10)
+        assert exc.value.learner == 2
 
 
 class TestCheckpoint:
