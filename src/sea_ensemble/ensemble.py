@@ -24,11 +24,10 @@ method's convention and is what training uses. All five methods share the
 one training step, :func:`train_epoch`. Cross-learner gradient terms are
 dropped throughout: learner i's parameters only feel d(e_i)/d(f_i).
 
-The M learners live in one stacked :class:`~sea_ensemble.mlp.MLP` (each
-layer one (M, fan_out, fan_in) weight array and one (M, fan_out) bias
-array), so a training step is one batched forward, one batched backward and
-one update, with no loop over learners. ``EnsembleModel.learners`` gives
-per-learner views of the stack for checkpoints and inspection.
+The M learners live in one stacked MLP, one (M, fan_out, fan_in) weight and
+one (M, fan_out) bias array per layer, so a training step is one batched
+forward, backward and update with no loop over learners;
+``EnsembleModel.learners`` gives per-learner views for checkpoints.
 """
 
 from __future__ import annotations
@@ -71,25 +70,16 @@ class MethodConfig:
 
 
 class EnsembleModel:
-    """M base learners sharing layer shapes, held as one stacked MLP, plus the training method.
+    """M same-shape base learners held as one stacked MLP, ``net``, plus the training method.
 
-    The constructor takes the learners as a list of single networks and
-    stacks them into ``net``; ``learners`` returns per-learner views of it.
     Bagging's bootstrap resamples are kept as one (M, n) index array.
     """
 
-    def __init__(
-        self,
-        learners: list[MLP],
-        config: MethodConfig,
-        seed: int,
-        bootstrap: list[np.ndarray] | None = None,
-    ):
+    def __init__(self, learners: list[MLP], config: MethodConfig, seed: int, bootstrap=None):
         if not learners:
             raise ValueError("ensemble needs at least one learner")
-        shapes = [w.shape for w in learners[0].weights]
         for i, m in enumerate(learners):
-            if [w.shape for w in m.weights] != shapes:
+            if [w.shape for w in m.weights] != [w.shape for w in learners[0].weights]:
                 raise ValueError(f"learner {i} layer shapes differ from learner 0")
         self.net = MLP(
             tuple(np.stack(ws) for ws in zip(*(m.weights for m in learners))),
@@ -121,14 +111,6 @@ class EnsembleModel:
     @property
     def m(self) -> int:
         return self.net.weights[0].shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.net.d_in
-
-    @property
-    def d_out(self) -> int:
-        return self.net.d_out
 
 
 def build_ensemble(

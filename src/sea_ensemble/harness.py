@@ -234,16 +234,6 @@ def fold_seed(cfg: ExperimentConfig, fold: int) -> int:
     return derive_seed(cfg.seed, "fold", fold)
 
 
-@dataclass(frozen=True)
-class FoldResult:
-    fold: int
-    metric: float
-    epoch0_metric: float
-    std: float
-    epochs_run: int
-    diverged: bool
-
-
 def run_fold(
     cfg: ExperimentConfig,
     method: str,
@@ -252,7 +242,7 @@ def run_fold(
     ds: Dataset,
     split: FoldSplit,
     fold: int,
-) -> FoldResult:
+) -> SweepRow:
     """Train one ensemble on K-1 folds and score the held-out fold.
 
     Standardization is fitted on the training folds only. A divergent run is
@@ -294,23 +284,19 @@ def run_fold(
                 break
             epochs_run += 1
 
-        if diverged:
-            return FoldResult(fold, float("nan"), epoch0, float("nan"), epochs_run, True)
-
-        preds, _ = predictions_batch(ens, eval_ds.features)
-        value = metric(preds.mean(axis=0), eval_ds.targets)
-        spread = theory.empirical_std(preds)
-    if not np.isfinite(value):
-        # parameters stayed finite but predictions overflowed
-        return FoldResult(fold, float("nan"), epoch0, float("nan"), epochs_run, True)
-    return FoldResult(fold, value, epoch0, spread, epochs_run, False)
+        if not diverged:
+            preds, _ = predictions_batch(ens, eval_ds.features)
+            value = metric(preds.mean(axis=0), eval_ds.targets)
+            spread = theory.empirical_std(preds)
+    # parameters can stay finite while the predictions overflow
+    if diverged or not np.isfinite(value):
+        return SweepRow(method, param, m, fold, float("nan"), float("nan"), epochs_run, True, epoch0)
+    return SweepRow(method, param, m, fold, value, spread, epochs_run, False, epoch0)
 
 
 def run_epoch(ens: EnsembleModel, train: Dataset, cfg: ExperimentConfig) -> None:
-    """One pass over ``train``: ``cfg.batch_size`` rows per step, or one full-batch step.
-
-    Bagging always trains full-batch: its bootstrap rows index the whole set.
-    """
+    """One pass over ``train`` in steps of ``cfg.batch_size`` rows, or one full-batch step."""
+    # Bagging always trains full-batch: bootstrap rows index the whole set.
     if cfg.batch_size is None or ens.config.method == "bagging":
         train_epoch(ens, train.features, train.targets, cfg.alpha)
         return
@@ -350,11 +336,6 @@ class SweepResult:
     wall_time: float = field(default=0.0, compare=False)
 
 
-def _sweep_row(cfg, ds, split, method, param, m, fold) -> SweepRow:
-    r = run_fold(cfg, method, param, m, ds, split, fold)
-    return SweepRow(method, param, m, fold, r.metric, r.std, r.epochs_run, r.diverged, r.epoch0_metric)
-
-
 # A pool worker's (config, dataset, split), set once per worker by its initializer.
 _worker_inputs: tuple = ()
 
@@ -365,7 +346,8 @@ def _init_sweep_worker(*inputs) -> None:
 
 
 def _sweep_job(method: str, param: float, m: int, fold: int) -> SweepRow:
-    return _sweep_row(*_worker_inputs, method, param, m, fold)
+    cfg, ds, split = _worker_inputs
+    return run_fold(cfg, method, param, m, ds, split, fold)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -389,7 +371,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         ) as pool:
             rows = list(pool.map(_sweep_job, *zip(*jobs)))
     else:
-        rows = [_sweep_row(cfg, ds, split, *job) for job in jobs]
+        rows = [run_fold(cfg, method, param, m, ds, split, fold) for method, param, m, fold in jobs]
     rows.sort(key=SweepRow.sort_key)
     n_div = sum(r.diverged for r in rows)
     if n_div:

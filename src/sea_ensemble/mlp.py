@@ -5,10 +5,9 @@ and a plain SGD update. The backward pass starts from a caller-supplied
 output-space gradient, so any per-learner ensemble loss can drive training
 without the network knowing about it.
 
-Every kernel takes the parameters of one network or of M same-shape networks
-stacked along a leading learner axis, so an ensemble trains as one array
-program: one batched matmul per layer, not M calls. The per-learner slices
-of a stack compute bitwise the same values as M single-network calls.
+Every kernel also takes M same-shape networks stacked on a leading learner
+axis, so an ensemble trains with one batched matmul per layer, not M calls;
+each learner's slice is bitwise what a single-network call computes.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ class DivergenceError(RuntimeError):
 class MLP:
     """Layered affine maps; weights[l] is (fan_out, fan_in), biases[l] is (fan_out,).
 
-    A stack of M networks adds a leading learner axis to every layer:
-    weights[l] is (M, fan_out, fan_in) and biases[l] is (M, fan_out).
+    A stack of M networks is (M, fan_out, fan_in) and (M, fan_out) per layer.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -163,9 +161,8 @@ def backward(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray) -> MLPGradi
 def sgd_step(m: MLP, g: MLPGradients, alpha: float) -> MLP:
     """Return the MLP after one step theta <- theta - alpha * grad.
 
-    A non-finite updated parameter raises :class:`DivergenceError`. On a stack
-    it names the lowest learner index with a non-finite layer, and the
-    message names that learner's lowest such layer.
+    A non-finite result raises :class:`DivergenceError`; on a stack its
+    ``learner`` is the lowest learner index with a non-finite layer.
     """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")

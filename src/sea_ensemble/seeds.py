@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 _MASK63 = (1 << 63) - 1
 
 
@@ -32,8 +30,3 @@ def derive_seed(master: int, *parts: int | str) -> int:
     blob = ":".join([str(int(master))] + [str(p) for p in parts]).encode("utf-8")
     digest = hashlib.sha256(blob).digest()
     return int.from_bytes(digest[:8], "little") & _MASK63
-
-
-def rng_for(master: int, *parts: int | str) -> np.random.Generator:
-    """A numpy Generator seeded by derive_seed(master, *parts)."""
-    return np.random.default_rng(derive_seed(master, *parts))
