@@ -75,7 +75,7 @@ class EnsembleModel:
     Bagging's bootstrap resamples are kept as one (M, n) index array.
     """
 
-    def __init__(self, learners: list[MLP], config: MethodConfig, seed: int, bootstrap=None):
+    def __init__(self, learners: list[MLP], config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):
         if not learners:
             raise ValueError("ensemble needs at least one learner")
         for i, m in enumerate(learners):

@@ -125,7 +125,6 @@ class TestTrain:
         assert ens.m == 3
         assert ens.config.method == "sea" and ens.config.param == 0.5
 
-
     def test_batch_size_honoured(self, tmp_path):
         args = ["train", "--method", "sea", "--param", "0.5", "--grid", "0.5"] + BASE
         assert main(args + ["--batch-size", "5", "--outdir", str(tmp_path / "mini")]) == EXIT_OK
