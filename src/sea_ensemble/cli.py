@@ -92,7 +92,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--synth-n", type=int, help="synthetic dataset size")
     p.add_argument("--synth-noise", type=float, help="synthetic noise stddev")
     p.add_argument("--method", choices=["independent", "sea", "ncl", "nclstar", "bagging"])
-    p.add_argument("--grid", help="parameter grid: comma list or lo:hi:step")
+    p.add_argument("--grid", help="parameter grid: comma list or lo:hi:step; "
+                   "a grid that starts below 0 needs the = form, e.g. --grid=-0.5:2.5:0.1")
     p.add_argument("--m", dest="m_list", help="comma list of ensemble sizes")
     p.add_argument("--folds", type=int)
     p.add_argument("--epochs", type=int)

@@ -99,6 +99,17 @@ class EnsembleModel:
                 )
         if self.config.method == "bagging" and self.bootstrap is None:
             raise ValueError("bagging ensemble needs bootstrap indices")
+        idx = self.bootstrap
+        if idx is not None:
+            # one resample of 0..n-1 per learner, and only bagging trains on them
+            if self.config.method != "bagging":
+                raise ValueError(f"only bagging takes bootstrap indices, not {self.config.method}")
+            if idx.dtype.kind not in "iu":
+                raise ValueError(f"bootstrap indices must be integers, got dtype {idx.dtype}")
+            if idx.ndim != 2 or idx.shape[0] != self.m or idx.shape[1] == 0:
+                raise ValueError(f"bootstrap must be (M={self.m}, n), got shape {idx.shape}")
+            if idx.min() < 0 or idx.max() >= idx.shape[1]:
+                raise ValueError(f"bootstrap indices must lie in [0, {idx.shape[1]})")
 
     @property
     def learners(self) -> list[MLP]:
@@ -153,20 +164,6 @@ def bootstrap_indices(n: int, m: int, seed: int) -> list[np.ndarray]:
 def predictions_batch(ens: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """All learner outputs on an (N, D) batch: returns (M, N, O) plus the stacked trace."""
     return forward_batch(ens.net, x)
-
-
-def ensemble_predict_batch(ens: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """Mean learner output on an (N, D) batch."""
-    preds, _ = predictions_batch(ens, x)
-    return preds.mean(axis=0)
-
-
-def ensemble_predict(ens: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """Mean learner output for a single D-vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D input, got shape {x.shape}")
-    return ensemble_predict_batch(ens, x[None, :])[0]
 
 
 def complementary_prediction(preds: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -244,8 +241,6 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
     non-finite, the :class:`DivergenceError` names the lowest such learner
     and the ensemble is left unchanged.
     """
-    if alpha <= 0:
-        raise ValueError(f"learning rate must be positive, got {alpha}")
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if t.ndim == 1:
@@ -269,7 +264,7 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
             counts = np.bincount((ens.bootstrap + offsets).ravel(), minlength=m * n)
             deltas *= counts.reshape(m, n)[:, :, None]
         grads = backward_batch(ens.net, trace, deltas / n)
-    ens.net = sgd_step(ens.net, grads, alpha)
+    sgd_step(ens.net, grads, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +290,8 @@ def ensemble_from_json(text: str) -> EnsembleModel:
     if doc.get("format") != "sea-ensemble/1":
         raise ValueError(f"unsupported checkpoint format: {doc.get('format')!r}")
     learners = [mlp_from_dict(d) for d in doc["learners"]]
-    bootstrap = None
-    if doc["bootstrap"] is not None:
-        bootstrap = np.asarray(doc["bootstrap"], dtype=np.int64)
+    # no dtype: fractional indices stay floats and are rejected, not truncated
+    bootstrap = None if doc["bootstrap"] is None else np.asarray(doc["bootstrap"])
     return EnsembleModel(
         learners, MethodConfig(doc["method"], doc["param"]), doc["seed"], bootstrap
     )

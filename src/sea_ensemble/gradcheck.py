@@ -17,7 +17,7 @@ import numpy as np
 
 from . import theory
 from .ensemble import MethodConfig, learner_losses, output_gradients
-from .mlp import MLP, backward, forward, init_mlp
+from .mlp import MLP, backward_batch, forward_batch, init_mlp
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def _random_stack(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_mlp_backward(n_nets: int = 50, seed: int = 0, h: float = 1e-6, tol: float = 1e-6) -> CheckResult:
-    """Backward vs central differences of <delta, y(theta)> on random small nets."""
+    """Backward vs central differences of <delta, y(theta)> on random small nets, one row each."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_nets):
@@ -76,14 +76,14 @@ def check_mlp_backward(n_nets: int = 50, seed: int = 0, h: float = 1e-6, tol: fl
         d_out = int(rng.integers(1, 4))
         hidden = [int(rng.integers(1, 9)) for _ in range(int(rng.integers(0, 3)))]
         net = init_mlp(d_in, hidden, d_out, int(rng.integers(0, 2**31)))
-        x = rng.normal(size=d_in)
-        delta = rng.normal(size=d_out)
-        _, trace = forward(net, x)
-        g = backward(net, trace, delta)
+        x = rng.normal(size=(1, d_in))
+        delta = rng.normal(size=(1, d_out))
+        _, trace = forward_batch(net, x)
+        d_weights, d_biases = backward_batch(net, trace, delta)
 
         def loss(model: MLP) -> float:
-            y, _ = forward(model, x)
-            return float(np.dot(delta, y))
+            y, _ = forward_batch(model, x)
+            return float(np.vdot(delta, y))
 
         for l in range(net.n_layers):
             fd_w = np.zeros_like(net.weights[l])
@@ -93,7 +93,7 @@ def check_mlp_backward(n_nets: int = 50, seed: int = 0, h: float = 1e-6, tol: fl
                 wp[l][idx] += h
                 wm[l][idx] -= h
                 fd_w[idx] = (loss(MLP(tuple(wp), net.biases)) - loss(MLP(tuple(wm), net.biases))) / (2 * h)
-            worst = max(worst, _rel_err(g.d_weights[l], fd_w))
+            worst = max(worst, _rel_err(d_weights[l], fd_w))
             fd_b = np.zeros_like(net.biases[l])
             for idx in np.ndindex(*fd_b.shape):
                 bp = [b.copy() for b in net.biases]
@@ -101,7 +101,7 @@ def check_mlp_backward(n_nets: int = 50, seed: int = 0, h: float = 1e-6, tol: fl
                 bp[l][idx] += h
                 bm[l][idx] -= h
                 fd_b[idx] = (loss(MLP(net.weights, tuple(bp))) - loss(MLP(net.weights, tuple(bm)))) / (2 * h)
-            worst = max(worst, _rel_err(g.d_biases[l], fd_b))
+            worst = max(worst, _rel_err(d_biases[l], fd_b))
     return CheckResult("mlp_backward", worst, tol)
 
 

@@ -25,19 +25,21 @@ class DivergenceError(RuntimeError):
         self.learner = learner
 
 
-@dataclass(frozen=True)
+@dataclass
 class MLP:
     """Layered affine maps; weights[l] is (fan_out, fan_in), biases[l] is (fan_out,).
 
     A stack of M networks is (M, fan_out, fan_in) and (M, fan_out) per layer.
+    Construction checks the shapes and values; :func:`sgd_step` then replaces
+    the layer tuples with new arrays and never writes into the old ones.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(np.asarray(w, dtype=np.float64) for w in self.weights))
-        object.__setattr__(self, "biases", tuple(np.asarray(b, dtype=np.float64) for b in self.biases))
+        self.weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
+        self.biases = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need matching, nonempty weight and bias lists")
         stack = self.weights[0].shape[:-2]
@@ -60,14 +62,6 @@ class MLP:
     @property
     def d_out(self) -> int:
         return self.weights[-1].shape[-2]
-
-
-@dataclass(frozen=True)
-class MLPGradients:
-    """Per-layer parameter gradients, shape-congruent with an MLP."""
-
-    d_weights: tuple[np.ndarray, ...]
-    d_biases: tuple[np.ndarray, ...]
 
 
 def init_mlp(d_in: int, hidden: list[int], d_out: int, seed: int) -> MLP:
@@ -113,17 +107,10 @@ def forward_batch(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return a, acts
 
 
-def forward(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward a single D-vector; returns (O-vector, trace)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D input vector, got shape {x.shape}")
-    y, acts = forward_batch(m, x[None, :])
-    return y[0], acts
-
-
-def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray) -> MLPGradients:
-    """Backpropagate (N, O) output-space gradients; returns gradients summed over the batch.
+def backward_batch(
+    m: MLP, trace: list[np.ndarray], delta_out: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Backpropagate (N, O) output-space gradients; returns (d_weights, d_biases) summed over the batch.
 
     ``trace`` must come from :func:`forward_batch` on the same parameters;
     ``delta_out`` is d(loss)/d(output) per sample, (M, N, O) for a stack.
@@ -147,22 +134,19 @@ def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray) -> ML
         if l > 0:
             a_prev = trace[l]  # sigmoid output feeding layer l
             g = np.matmul(g, m.weights[l]) * (a_prev * (1.0 - a_prev))
-    return MLPGradients(tuple(d_weights), tuple(d_biases))
+    return tuple(d_weights), tuple(d_biases)
 
 
-def backward(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray) -> MLPGradients:
-    """Single-sample backward from an O-vector output gradient."""
-    delta_out = np.asarray(delta_out, dtype=np.float64)
-    if delta_out.ndim != 1:
-        raise ValueError(f"expected a 1-D output gradient, got shape {delta_out.shape}")
-    return backward_batch(m, trace, delta_out[None, :])
+def sgd_step(
+    m: MLP, grads: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]], alpha: float
+) -> None:
+    """One step theta <- theta - alpha * grad on ``m``, from :func:`backward_batch`'s pair.
 
-
-def sgd_step(m: MLP, g: MLPGradients, alpha: float) -> MLP:
-    """Return the MLP after one step theta <- theta - alpha * grad.
-
-    A non-finite result raises :class:`DivergenceError`; on a stack its
-    ``learner`` is the lowest learner index with a non-finite layer.
+    Each layer gets a new array and ``m`` is rebound to them; the old arrays
+    are not written into, so views and copies taken before the step keep
+    their values. A non-finite result raises :class:`DivergenceError` and
+    leaves ``m`` unchanged; on a stack its ``learner`` is the lowest learner
+    index with a non-finite layer.
     """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")
@@ -170,7 +154,7 @@ def sgd_step(m: MLP, g: MLPGradients, alpha: float) -> MLP:
     biases = []
     # Overflow here is the designed divergence signal, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for l, (w, b, dw, db) in enumerate(zip(m.weights, m.biases, g.d_weights, g.d_biases)):
+        for l, (w, b, dw, db) in enumerate(zip(m.weights, m.biases, *grads, strict=True)):
             if dw.shape != w.shape or db.shape != b.shape:
                 raise ValueError(f"layer {l}: gradient shape mismatch")
             weights.append(w - alpha * dw)
@@ -182,7 +166,8 @@ def sgd_step(m: MLP, g: MLPGradients, alpha: float) -> MLP:
         learner = None if finite.ndim == 1 else int(np.argmin(finite.all(axis=0)))
         layer = int(np.argmin(finite if learner is None else finite[:, learner]))
         raise DivergenceError(f"non-finite parameter after update in layer {layer}", learner=learner)
-    return MLP(tuple(weights), tuple(biases))
+    m.weights = tuple(weights)
+    m.biases = tuple(biases)
 
 
 def mlp_to_dict(m: MLP) -> dict:

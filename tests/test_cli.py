@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +154,15 @@ class TestBoundary:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "param,metric,is_plateau,is_boundary"
         assert len(lines) == 6
+
+    def test_readme_example_runs(self, tmp_path):
+        # the documented command, as written, with a negative grid start
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        line = next(l for l in readme.splitlines() if l.startswith("sea-ensemble boundary "))
+        args = shlex.split(line)[1:] + ["--epochs", "1", "--workers", "1", "--outdir", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert any(r.split(",")[1] == "-0.5" for r in rows)
 
 
 class TestDiversity:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from sea_ensemble.ensemble import (
     build_ensemble,
     complementary_prediction,
     ensemble_from_json,
-    ensemble_predict,
-    ensemble_predict_batch,
     ensemble_to_json,
     learner_losses,
     output_gradients,
@@ -69,7 +69,7 @@ def assert_fd_match(rng, config_of, n_states: int = 200) -> None:
 
 def sq_error(ens: EnsembleModel, x: np.ndarray, t: np.ndarray) -> float:
     """Mean over samples of sum_dims (fbar - t)^2."""
-    fbar = ensemble_predict_batch(ens, x)
+    fbar = predictions_batch(ens, x)[0].mean(axis=0)
     return float(((fbar - t) ** 2).sum(axis=1).mean())
 
 
@@ -230,16 +230,16 @@ class TestEnsemblePredict:
 
     def test_mean_of_equals(self):
         ens = self._two_constant_learners(1.5, 1.5)
-        np.testing.assert_allclose(ensemble_predict(ens, np.array([0.0])), [1.5])
+        np.testing.assert_allclose(predictions_batch(ens, np.array([[0.0]]))[0].mean(axis=0), [[1.5]])
 
     def test_arithmetic_mean(self):
         ens = self._two_constant_learners(1.0, 3.0)
-        np.testing.assert_allclose(ensemble_predict(ens, np.array([7.0])), [2.0])
+        np.testing.assert_allclose(predictions_batch(ens, np.array([[7.0]]))[0].mean(axis=0), [[2.0]])
 
     def test_symmetric_perturbation(self):
         base = 0.7
         ens = self._two_constant_learners(base + 0.3, base - 0.3)
-        np.testing.assert_allclose(ensemble_predict(ens, np.array([0.0])), [base])
+        np.testing.assert_allclose(predictions_batch(ens, np.array([[0.0]]))[0].mean(axis=0), [[base]])
 
 
 class TestDispatch:
@@ -349,15 +349,14 @@ class TestTrainEpoch:
 
 
 def hand_step(learners, config, x, t, alpha, bootstrap=None):
-    """One train_epoch done learner by learner with the single-network kernels."""
+    """One train_epoch done learner by learner with the single-network kernels; steps ``learners``."""
     outs = [forward_batch(net, x) for net in learners]
     deltas = output_gradients(np.stack([y for y, _ in outs]), t, config)
     if bootstrap is not None:
         deltas *= np.stack([np.bincount(idx, minlength=len(x)) for idx in bootstrap])[:, :, None]
-    return [
+    for i, (net, (_, trace)) in enumerate(zip(learners, outs)):
         sgd_step(net, backward_batch(net, trace, deltas[i] / len(x)), alpha)
-        for i, (net, (_, trace)) in enumerate(zip(learners, outs))
-    ]
+    return learners
 
 
 class TestStackedStep:
@@ -393,6 +392,30 @@ class TestStackedStep:
         assert len(after) == len(before)
         for a, b in zip(after, before):
             np.testing.assert_array_equal(a, b)
+
+    def test_step_builds_no_mlp_and_replaces_arrays(self, monkeypatch):
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        ens = build_ensemble(2, [6, 4], 1, 5, MethodConfig("sea", 0.5), seed=17)
+        views = ens.learners
+        view_values = [[a.copy() for a in v.weights + v.biases] for v in views]
+        arrays = ens.net.weights + ens.net.biases
+        values = [a.copy() for a in arrays]
+        built = []
+        real = MLP.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(MLP, "__post_init__", counting)
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        assert len(built) == 0
+        for v, want in zip(views, view_values):
+            for a, b in zip(v.weights + v.biases, want):
+                np.testing.assert_array_equal(a, b)
+        for a, b in zip(arrays, values):
+            np.testing.assert_array_equal(a, b)
+        assert not all(np.array_equal(a, b) for a, b in zip(ens.net.weights + ens.net.biases, values))
 
     def test_mismatched_learner_shapes_rejected(self):
         a = init_mlp(2, [3], 1, 0)
@@ -437,7 +460,8 @@ class TestBagging:
         for learner, idx in zip(ens.learners, ens.bootstrap):
             y, trace = forward_batch(learner, ds.features[idx])
             grads = backward_batch(learner, trace, (y - ds.targets[idx]) / len(idx))
-            expected.append(sgd_step(learner, grads, 0.1))
+            sgd_step(learner, grads, 0.1)
+            expected.append(learner)
         train_epoch(ens, ds.features, ds.targets, 0.1)
         for got, want in zip(ens.learners, expected):
             for a, b in zip(got.weights + got.biases, want.weights + want.biases):
@@ -478,6 +502,45 @@ class TestCheckpoint:
         for ma, mb in zip(ens.learners, restored.learners):
             for wa, wb in zip(ma.weights, mb.weights):
                 np.testing.assert_array_equal(wa, wb)
+
+    @staticmethod
+    def bagging_doc() -> dict:
+        """A bagging checkpoint, M=3 learners over n=30 rows, as the JSON document."""
+        ens = build_ensemble(2, [3], 1, 3, MethodConfig("bagging"), seed=5, n_train=30)
+        doc = json.loads(ensemble_to_json(ens))
+        ensemble_from_json(json.dumps(doc))  # loads unedited
+        return doc
+
+    def test_bootstrap_on_other_method_rejected(self):
+        doc = self.bagging_doc()
+        doc["method"], doc["param"] = "sea", 0.5
+        with pytest.raises(ValueError, match="only bagging"):
+            ensemble_from_json(json.dumps(doc))
+
+    def test_bootstrap_row_per_learner_required(self):
+        doc = self.bagging_doc()
+        doc["bootstrap"] = doc["bootstrap"][:1]
+        with pytest.raises(ValueError, match=r"\(M=3, n\)"):
+            ensemble_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [-1, 30])
+    def test_bootstrap_index_outside_rows_rejected(self, value):
+        doc = self.bagging_doc()
+        doc["bootstrap"][1][4] = value
+        with pytest.raises(ValueError, match=r"\[0, 30\)"):
+            ensemble_from_json(json.dumps(doc))
+
+    def test_fractional_bootstrap_index_rejected(self):
+        doc = self.bagging_doc()
+        doc["bootstrap"][0][0] = 24.5
+        with pytest.raises(ValueError, match="integers"):
+            ensemble_from_json(json.dumps(doc))
+
+    def test_bagging_without_bootstrap_rejected(self):
+        doc = self.bagging_doc()
+        doc["bootstrap"] = None
+        with pytest.raises(ValueError, match="needs bootstrap"):
+            ensemble_from_json(json.dumps(doc))
 
     def test_m1_rejected_for_adjustable(self):
         with pytest.raises(ValueError, match="M >= 2"):

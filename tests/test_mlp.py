@@ -6,11 +6,8 @@ import pytest
 from sea_ensemble.mlp import (
     MLP,
     DivergenceError,
-    MLPGradients,
     _sigmoid,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_mlp,
     mlp_from_dict,
@@ -20,15 +17,15 @@ from sea_ensemble.mlp import (
 
 
 def finite_difference_grads(m: MLP, x: np.ndarray, delta_out: np.ndarray, h: float = 1e-6):
-    """Central finite differences of the scalar loss <delta_out, y(theta)>.
+    """Central finite differences of the scalar loss <delta_out, y(theta)> on a batch.
 
     Independent of the backward pass: re-runs forward with each parameter
     nudged by +-h.
     """
 
     def loss(model):
-        y, _ = forward(model, x)
-        return float(np.dot(delta_out, y))
+        y, _ = forward_batch(model, x)
+        return float(np.vdot(delta_out, y))
 
     d_weights, d_biases = [], []
     for l in range(m.n_layers):
@@ -90,17 +87,17 @@ class TestInit:
 class TestForward:
     def test_affine_identity(self):
         m = MLP((np.array([[2.0]]),), (np.array([1.0]),))
-        y, _ = forward(m, np.array([3.0]))
-        assert y[0] == 7.0
+        y, _ = forward_batch(m, np.array([[3.0]]))
+        assert y[0, 0] == 7.0
 
     def test_zero_net(self):
         m = MLP(
             (np.zeros((4, 2)), np.zeros((1, 4))),
             (np.zeros(4), np.zeros(1)),
         )
-        y, _ = forward(m, np.array([5.0, -3.0]))
+        y, _ = forward_batch(m, np.array([[5.0, -3.0]]))
         # hidden sigmoids output 0.5 but the zero output weights kill them
-        assert y[0] == 0.0
+        assert y[0, 0] == 0.0
 
     def test_sigmoid_midpoint(self):
         # one hidden unit pinned at z=0: y = 2 * sigmoid(0) = 1.0
@@ -108,8 +105,8 @@ class TestForward:
             (np.array([[0.0]]), np.array([[2.0]])),
             (np.array([0.0]), np.array([0.0])),
         )
-        y, _ = forward(m, np.array([1234.5]))
-        assert y[0] == 1.0
+        y, _ = forward_batch(m, np.array([[1234.5]]))
+        assert y[0, 0] == 1.0
 
     def test_batch_matches_single(self):
         m = init_mlp(3, [6, 4], 2, 5)
@@ -117,39 +114,39 @@ class TestForward:
         xs = rng.normal(size=(10, 3))
         ys, _ = forward_batch(m, xs)
         for i in range(10):
-            yi, _ = forward(m, xs[i])
+            yi, _ = forward_batch(m, xs[i : i + 1])
             # GEMM kernels differ between batch shapes, so equality is
             # up to rounding, not bitwise.
-            np.testing.assert_allclose(ys[i], yi, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(ys[i], yi[0], rtol=1e-12, atol=1e-14)
 
     def test_non_finite_input(self):
         m = init_mlp(2, [], 1, 0)
         with pytest.raises(ValueError, match="non-finite"):
-            forward(m, np.array([np.inf, 0.0]))
+            forward_batch(m, np.array([[np.inf, 0.0]]))
 
     def test_deterministic(self):
         m = init_mlp(2, [7], 1, 3)
-        x = np.array([0.3, -0.8])
-        y1, _ = forward(m, x)
-        y2, _ = forward(m, x)
+        x = np.array([[0.3, -0.8]])
+        y1, _ = forward_batch(m, x)
+        y2, _ = forward_batch(m, x)
         np.testing.assert_array_equal(y1, y2)
 
 
 class TestBackward:
     def test_zero_delta(self):
         m = init_mlp(2, [5], 1, 9)
-        _, trace = forward(m, np.array([0.1, 0.2]))
-        g = backward(m, trace, np.array([0.0]))
-        assert all((dw == 0).all() for dw in g.d_weights)
-        assert all((db == 0).all() for db in g.d_biases)
+        _, trace = forward_batch(m, np.array([[0.1, 0.2]]))
+        d_weights, d_biases = backward_batch(m, trace, np.array([[0.0]]))
+        assert all((dw == 0).all() for dw in d_weights)
+        assert all((db == 0).all() for db in d_biases)
 
     def test_linear_layer_hand_case(self):
         # y = w x + b, loss gradient delta: dW = delta * x, db = delta
         m = MLP((np.array([[1.5]]),), (np.array([0.0]),))
-        _, trace = forward(m, np.array([3.0]))
-        g = backward(m, trace, np.array([2.0]))
-        np.testing.assert_array_equal(g.d_weights[0], [[6.0]])
-        np.testing.assert_array_equal(g.d_biases[0], [2.0])
+        _, trace = forward_batch(m, np.array([[3.0]]))
+        d_weights, d_biases = backward_batch(m, trace, np.array([[2.0]]))
+        np.testing.assert_array_equal(d_weights[0], [[6.0]])
+        np.testing.assert_array_equal(d_biases[0], [2.0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
@@ -158,14 +155,14 @@ class TestBackward:
         d_in = int(rng.integers(1, 5))
         d_out = int(rng.integers(1, 4))
         m = init_mlp(d_in, hidden, d_out, seed)
-        x = rng.normal(size=d_in)
-        delta = rng.normal(size=d_out)
-        _, trace = forward(m, x)
-        g = backward(m, trace, delta)
+        x = rng.normal(size=(1, d_in))
+        delta = rng.normal(size=(1, d_out))
+        _, trace = forward_batch(m, x)
+        d_weights, d_biases = backward_batch(m, trace, delta)
         fd_w, fd_b = finite_difference_grads(m, x, delta)
         for l in range(m.n_layers):
-            assert relative_error(g.d_weights[l], fd_w[l]) < 1e-6
-            assert relative_error(g.d_biases[l], fd_b[l]) < 1e-6
+            assert relative_error(d_weights[l], fd_w[l]) < 1e-6
+            assert relative_error(d_biases[l], fd_b[l]) < 1e-6
 
     def test_batch_sums_samples(self):
         m = init_mlp(2, [4], 1, 1)
@@ -173,64 +170,64 @@ class TestBackward:
         xs = rng.normal(size=(6, 2))
         deltas = rng.normal(size=(6, 1))
         _, trace = forward_batch(m, xs)
-        g_all = backward_batch(m, trace, deltas)
+        dw_all, _ = backward_batch(m, trace, deltas)
         acc_w = [np.zeros_like(w) for w in m.weights]
         for i in range(6):
-            _, tr = forward(m, xs[i])
-            gi = backward(m, tr, deltas[i])
+            _, tr = forward_batch(m, xs[i : i + 1])
+            dw_i, _ = backward_batch(m, tr, deltas[i : i + 1])
             for l in range(m.n_layers):
-                acc_w[l] += gi.d_weights[l]
+                acc_w[l] += dw_i[l]
         for l in range(m.n_layers):
-            np.testing.assert_allclose(g_all.d_weights[l], acc_w[l], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(dw_all[l], acc_w[l], rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch(self):
         m = init_mlp(2, [3], 1, 0)
-        _, trace = forward(m, np.array([1.0, 2.0]))
+        _, trace = forward_batch(m, np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
-            backward(m, trace, np.array([1.0, 2.0]))
+            backward_batch(m, trace, np.array([[1.0, 2.0]]))
 
 
 class TestSgd:
     def test_zero_gradient_fixed_point(self):
         m = init_mlp(2, [3], 1, 4)
-        _, trace = forward(m, np.array([0.5, 0.5]))
-        g = backward(m, trace, np.array([0.0]))
-        m2 = sgd_step(m, g, 0.1)
-        for w, w2 in zip(m.weights, m2.weights):
+        before = [w.copy() for w in m.weights]
+        _, trace = forward_batch(m, np.array([[0.5, 0.5]]))
+        g = backward_batch(m, trace, np.array([[0.0]]))
+        sgd_step(m, g, 0.1)
+        for w, w2 in zip(before, m.weights):
             np.testing.assert_array_equal(w, w2)
 
     def test_arithmetic(self):
         m = MLP((np.array([[1.0]]),), (np.array([0.0]),))
         g_w = (np.array([[2.0]]),)
         g_b = (np.array([0.0]),)
-        from sea_ensemble.mlp import MLPGradients
-
-        m2 = sgd_step(m, MLPGradients(g_w, g_b), 0.1)
-        assert m2.weights[0][0, 0] == pytest.approx(0.8)
+        sgd_step(m, (g_w, g_b), 0.1)
+        assert m.weights[0][0, 0] == pytest.approx(0.8)
 
     def test_zero_alpha_rejected(self):
         m = init_mlp(1, [], 1, 0)
-        _, trace = forward(m, np.array([1.0]))
-        g = backward(m, trace, np.array([1.0]))
+        _, trace = forward_batch(m, np.array([[1.0]]))
+        g = backward_batch(m, trace, np.array([[1.0]]))
         with pytest.raises(ValueError):
             sgd_step(m, g, 0.0)
 
     def test_two_half_steps_equal_one(self):
-        m = init_mlp(2, [3], 2, 8)
-        _, trace = forward(m, np.array([0.2, -0.4]))
-        g = backward(m, trace, np.array([1.0, -0.5]))
-        one = sgd_step(m, g, 0.1)
-        two = sgd_step(sgd_step(m, g, 0.05), g, 0.05)
+        one = init_mlp(2, [3], 2, 8)
+        two = init_mlp(2, [3], 2, 8)
+        _, trace = forward_batch(one, np.array([[0.2, -0.4]]))
+        g = backward_batch(one, trace, np.array([[1.0, -0.5]]))
+        sgd_step(one, g, 0.1)
+        sgd_step(two, g, 0.05)
+        sgd_step(two, g, 0.05)
         for wa, wb in zip(one.weights, two.weights):
             np.testing.assert_allclose(wa, wb, rtol=0, atol=1e-15)
 
     def test_divergence_detected(self):
         m = MLP((np.array([[1.0]]),), (np.array([0.0]),))
-        from sea_ensemble.mlp import MLPGradients
-
-        huge = MLPGradients((np.array([[1e308]]),), (np.array([0.0]),))
+        huge = ((np.array([[1e308]]),), (np.array([0.0]),))
         with pytest.raises(DivergenceError):
             sgd_step(m, huge, 1e10)
+        assert m.weights[0][0, 0] == 1.0
 
 
 class TestSigmoid:
@@ -276,7 +273,7 @@ class TestStack:
         dw[1][4] = 1e308
         dw[1][2] = 1e308
         dw[0][2, 1, 0] = -1e308
-        grads = MLPGradients(tuple(dw), tuple(np.zeros_like(b) for b in net.biases))
+        grads = (tuple(dw), tuple(np.zeros_like(b) for b in net.biases))
         with pytest.raises(DivergenceError, match="layer 0") as exc:
             sgd_step(net, grads, 1e10)
         assert exc.value.learner == 2
