@@ -92,8 +92,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--synth-n", type=int, help="synthetic dataset size")
     p.add_argument("--synth-noise", type=float, help="synthetic noise stddev")
     p.add_argument("--method", choices=["independent", "sea", "ncl", "nclstar", "bagging"])
-    p.add_argument("--grid", help="parameter grid: comma list or lo:hi:step; "
-                   "a grid that starts below 0 needs the = form, e.g. --grid=-0.5:2.5:0.1")
+    p.add_argument("--grid", help="parameter grid: comma list or lo:hi:step, e.g. -0.5:2.5:0.1")
     p.add_argument("--m", dest="m_list", help="comma list of ensemble sizes")
     p.add_argument("--folds", type=int)
     p.add_argument("--epochs", type=int)
@@ -102,7 +101,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or ./results)")
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--workers", type=int, help="parallel fold jobs (default: all cores)")
+    p.add_argument("--workers", type=int,
+                   help="parallel jobs, one per (ensemble size, fold) column of the grid (default: all cores)")
     p.add_argument("--metric-on-train", action="store_true", default=None,
                    help="score on the training folds instead of the held-out fold")
 
@@ -282,9 +282,25 @@ _COMMANDS = {
 }
 
 
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--grid VALUE`` as ``--grid=VALUE``.
+
+    argparse reads a value such as ``-0.5:2.5:0.1`` after a space as a flag,
+    not as the grid; joined, it parses like the ``=`` form.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and not arg.startswith("--"):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
+    argv = _join_grid_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         if args.command is None:

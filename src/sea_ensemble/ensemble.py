@@ -32,6 +32,7 @@ forward, backward and update with no loop over learners;
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 from dataclasses import dataclass
@@ -88,15 +89,7 @@ class EnsembleModel:
         self.config = config
         self.seed = seed
         self.bootstrap = None if bootstrap is None else np.stack(bootstrap)
-        if self.config.method in ADJUSTABLE and self.m < 2:
-            raise ValueError(f"{self.config.method} requires M >= 2, got M={self.m}")
-        if self.config.method == "sea":
-            lo, hi = theory.sea_k_bounds(self.m)
-            if not lo < self.config.param < hi:
-                log.warning(
-                    "SEA k=%g outside the theoretical interval (%g, %g) for M=%d; proceeding",
-                    self.config.param, lo, hi, self.m,
-                )
+        self._check_config()
         if self.config.method == "bagging" and self.bootstrap is None:
             raise ValueError("bagging ensemble needs bootstrap indices")
         idx = self.bootstrap
@@ -110,6 +103,30 @@ class EnsembleModel:
                 raise ValueError(f"bootstrap must be (M={self.m}, n), got shape {idx.shape}")
             if idx.min() < 0 or idx.max() >= idx.shape[1]:
                 raise ValueError(f"bootstrap indices must lie in [0, {idx.shape[1]})")
+
+    def _check_config(self) -> None:
+        if self.config.method in ADJUSTABLE and self.m < 2:
+            raise ValueError(f"{self.config.method} requires M >= 2, got M={self.m}")
+        if self.config.method == "sea":
+            lo, hi = theory.sea_k_bounds(self.m)
+            if not lo < self.config.param < hi:
+                log.warning(
+                    "SEA k=%g outside the theoretical interval (%g, %g) for M=%d; proceeding",
+                    self.config.param, lo, hi, self.m,
+                )
+
+    def with_param(self, param: float) -> EnsembleModel:
+        """A new ensemble of the same method at ``param``, starting from these parameters.
+
+        The two share their layer arrays and bootstrap; training replaces the
+        arrays and never writes into them (:func:`sgd_step`), so neither
+        ensemble sees the other's steps.
+        """
+        other = copy.copy(self)
+        other.net = copy.copy(self.net)
+        other.config = MethodConfig(self.config.method, param)
+        other._check_config()
+        return other
 
     @property
     def learners(self) -> list[MLP]:

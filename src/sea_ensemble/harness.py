@@ -1,9 +1,11 @@
 """Experiment engine: cross-validated sweeps, metrics, boundary estimation, persistence.
 
 A sweep is the Cartesian product (parameter grid) x (ensemble sizes) x
-(folds) for one method on one dataset. Rows are independent jobs; results
-are sorted before persistence so output files are byte-identical for a
-given config regardless of worker count.
+(folds) for one method on one dataset. Each (ensemble size, fold) column of
+grid points is one job, which standardizes the fold, builds the initial
+learners and scores the untrained ensemble once for all its grid points;
+rows are sorted before persistence so output files are byte-identical for
+a given config regardless of worker count.
 
 Seeds: the master seed is split by purpose (see :mod:`sea_ensemble.seeds`).
 The data split and the per-fold learner initializations never depend on the
@@ -234,20 +236,14 @@ def fold_seed(cfg: ExperimentConfig, fold: int) -> int:
     return derive_seed(cfg.seed, "fold", fold)
 
 
-def run_fold(
-    cfg: ExperimentConfig,
-    method: str,
-    param: float,
-    m: int,
-    ds: Dataset,
-    split: FoldSplit,
-    fold: int,
-) -> SweepRow:
-    """Train one ensemble on K-1 folds and score the held-out fold.
+def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fold: int) -> list[SweepRow]:
+    """Every grid point of one (M, fold) column: train on K-1 folds, score the held-out fold.
 
-    Standardization is fitted on the training folds only. A divergent run is
-    reported as a flagged row (metric NaN), not an exception, so sweeps past
-    the theoretical boundary run to completion.
+    What the grid points share is done once: the standardization (fitted on
+    the training folds only), the initial learners and bagging's bootstrap,
+    and the untrained ensemble's metric. Each grid point then trains its own
+    :meth:`~sea_ensemble.ensemble.EnsembleModel.with_param` copy, which shares
+    the initial arrays, in :func:`run_fold`.
     """
     train_idx = split.train_indices(fold)
     test_idx = split.test_indices(fold)
@@ -259,21 +255,39 @@ def run_fold(
     test, _ = standardize(test_raw, stats)
     eval_ds = train if cfg.metric_on_train else test
 
-    metric = metric_for_task(ds.task)
-    ens = build_ensemble(
+    # the method's default parameter; each grid point sets its own
+    untrained = build_ensemble(
         train.n_features,
         list(cfg.hidden),
         train.n_outputs,
         m,
-        MethodConfig(method, param),
+        MethodConfig(cfg.method),
         seed=fold_seed(cfg, fold),
         n_train=train.n_samples,
     )
-
     with np.errstate(over="ignore", invalid="ignore"):
-        preds0, _ = predictions_batch(ens, eval_ds.features)
-        epoch0 = metric(preds0.mean(axis=0), eval_ds.targets)
+        preds0, _ = predictions_batch(untrained, eval_ds.features)
+        epoch0 = metric_for_task(ds.task)(preds0.mean(axis=0), eval_ds.targets)
+    return [run_fold(cfg, untrained.with_param(p), train, eval_ds, fold, epoch0) for p in cfg.grid]
 
+
+def run_fold(
+    cfg: ExperimentConfig,
+    ens: EnsembleModel,
+    train: Dataset,
+    eval_ds: Dataset,
+    fold: int,
+    epoch0: float,
+) -> SweepRow:
+    """Train one ensemble for ``cfg.epochs`` on ``train`` and score it on ``eval_ds``: one sweep cell.
+
+    A divergent run is reported as a flagged row (metric NaN), not an
+    exception, so sweeps past the theoretical boundary run to completion.
+    ``epoch0`` is the untrained ensemble's metric, carried into the row.
+    """
+    metric = metric_for_task(eval_ds.task)
+    method, param = ens.config.method, ens.config.param
+    with np.errstate(over="ignore", invalid="ignore"):
         diverged = False
         epochs_run = 0
         for _ in range(cfg.epochs):
@@ -290,8 +304,8 @@ def run_fold(
             spread = theory.empirical_std(preds)
     # parameters can stay finite while the predictions overflow
     if diverged or not np.isfinite(value):
-        return SweepRow(method, param, m, fold, float("nan"), float("nan"), epochs_run, True, epoch0)
-    return SweepRow(method, param, m, fold, value, spread, epochs_run, False, epoch0)
+        return SweepRow(method, param, ens.m, fold, float("nan"), float("nan"), epochs_run, True, epoch0)
+    return SweepRow(method, param, ens.m, fold, value, spread, epochs_run, False, epoch0)
 
 
 def run_epoch(ens: EnsembleModel, train: Dataset, cfg: ExperimentConfig) -> None:
@@ -345,34 +359,30 @@ def _init_sweep_worker(*inputs) -> None:
     _worker_inputs = inputs
 
 
-def _sweep_job(method: str, param: float, m: int, fold: int) -> SweepRow:
+def _sweep_job(m: int, fold: int) -> list[SweepRow]:
     cfg, ds, split = _worker_inputs
-    return run_fold(cfg, method, param, m, ds, split, fold)
+    return run_column(cfg, m, ds, split, fold)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """The full (grid x m_list x folds) product for the configured method.
 
-    The dataset is loaded and split once; with ``cfg.workers > 1`` each pool
-    worker receives them when it starts, not with every job.
+    One job per (M, fold) column, largest M first so the longest jobs start
+    first. The dataset is loaded and split once; with ``cfg.workers > 1``
+    each pool worker receives them when it starts, not with every job.
     """
     started = time.perf_counter()
-    jobs = [
-        (cfg.method, param, m, fold)
-        for param in cfg.grid
-        for m in cfg.m_list
-        for fold in range(cfg.folds)
-    ]
+    jobs = [(m, fold) for m in sorted(cfg.m_list, reverse=True) for fold in range(cfg.folds)]
     ds = load_dataset(cfg)
     split = fold_split_for(cfg, ds.n_samples)
     if cfg.workers > 1:
         with ProcessPoolExecutor(
             max_workers=cfg.workers, initializer=_init_sweep_worker, initargs=(cfg, ds, split)
         ) as pool:
-            rows = list(pool.map(_sweep_job, *zip(*jobs)))
+            columns = list(pool.map(_sweep_job, *zip(*jobs)))
     else:
-        rows = [run_fold(cfg, method, param, m, ds, split, fold) for method, param, m, fold in jobs]
-    rows.sort(key=SweepRow.sort_key)
+        columns = [run_column(cfg, m, ds, split, fold) for m, fold in jobs]
+    rows = sorted((r for column in columns for r in column), key=SweepRow.sort_key)
     n_div = sum(r.diverged for r in rows)
     if n_div:
         log.info("%d/%d sweep rows diverged", n_div, len(rows))

@@ -8,6 +8,13 @@ without the network knowing about it.
 Every kernel also takes M same-shape networks stacked on a leading learner
 axis, so an ensemble trains with one batched matmul per layer, not M calls;
 each learner's slice is bitwise what a single-network call computes.
+
+Memory layout: activations are computed feature-major, (..., fan_out, N)
+with the batch axis contiguous, as ``w @ a``; the bias add and the sigmoid
+then run in place on the matmul's result. The public shapes are
+sample-major: outputs and trace entries past the input are
+``swapaxes`` views, (N, O) and (N, H), or (M, N, O) and (M, N, H) for a
+stack, of the feature-major arrays.
 """
 
 from __future__ import annotations
@@ -78,10 +85,15 @@ def init_mlp(d_in: int, hidden: list[int], d_out: int, seed: int) -> MLP:
     return MLP(tuple(weights), tuple(biases))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # One pass and no mask: tanh saturates instead of overflowing. Within
-    # 2.3e-16 absolute of 1/(1+exp(-z)); exactly 0 below z ~ -38.
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    # 2.3e-16 absolute of 1/(1+exp(-z)); exactly 0 below z ~ -38. The four
+    # steps of 0.5 * (1 + tanh(z/2)) run in ``out`` (which may be ``z``).
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def forward_batch(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -98,13 +110,15 @@ def forward_batch(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     acts = [x]
-    a = x
+    a = np.ascontiguousarray(x.T)
     last = m.n_layers - 1
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        z = np.matmul(a, np.swapaxes(w, -1, -2)) + b[..., None, :]
-        a = z if l == last else _sigmoid(z)
-        acts.append(a)
-    return a, acts
+        a = np.matmul(w, a)  # (..., fan_out, N)
+        a += b[..., None]
+        if l < last:
+            _sigmoid(a, out=a)
+        acts.append(np.swapaxes(a, -1, -2))
+    return acts[-1], acts
 
 
 def backward_batch(
@@ -126,14 +140,17 @@ def backward_batch(
         )
     d_weights: list[np.ndarray | None] = [None] * n_layers
     d_biases: list[np.ndarray | None] = [None] * n_layers
-    g = delta_out
+    # feature-major (..., O, N), the same bits whatever the caller's layout
+    g = np.ascontiguousarray(np.swapaxes(delta_out, -1, -2))
     for l in range(n_layers - 1, -1, -1):
-        a_in = trace[l]
-        d_weights[l] = np.matmul(np.swapaxes(g, -1, -2), a_in)
-        d_biases[l] = g.sum(axis=-2)
+        d_weights[l] = np.matmul(g, trace[l])
+        d_biases[l] = g.sum(axis=-1)
         if l > 0:
-            a_prev = trace[l]  # sigmoid output feeding layer l
-            g = np.matmul(g, m.weights[l]) * (a_prev * (1.0 - a_prev))
+            a = np.swapaxes(trace[l], -1, -2)  # sigmoid output feeding layer l
+            g = np.matmul(np.swapaxes(m.weights[l], -1, -2), g)
+            d = 1.0 - a
+            d *= a
+            g *= d
     return tuple(d_weights), tuple(d_biases)
 
 

@@ -164,6 +164,15 @@ class TestBoundary:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert any(r.split(",")[1] == "-0.5" for r in rows)
 
+    def test_grid_after_space_with_negative_start(self, tmp_path):
+        args = ["boundary", "--method", "sea", "--m", "3", "--folds", "2", "--synth-n", "60", "--hidden", "5",
+                "--epochs", "1", "--workers", "1"]
+        assert main(args + ["--grid", "-0.5:1.5:0.5", "--outdir", str(tmp_path / "space")]) == EXIT_OK
+        assert main(args + ["--grid=-0.5:1.5:0.5", "--outdir", str(tmp_path / "equals")]) == EXIT_OK
+        space = (tmp_path / "space" / "sweep.csv").read_bytes()
+        assert space == (tmp_path / "equals" / "sweep.csv").read_bytes()
+        assert b"\nsea,-0.5,3,0," in space
+
 
 class TestDiversity:
     def test_emits_profile(self, tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sea_ensemble import harness, theory
-from sea_ensemble.data import CLASSIFICATION, synth_regression
-from sea_ensemble.ensemble import MethodConfig, bootstrap_indices, build_ensemble
+from sea_ensemble.data import CLASSIFICATION, Dataset, standardize, synth_regression
+from sea_ensemble.ensemble import MethodConfig, bootstrap_indices, build_ensemble, predictions_batch
 from sea_ensemble.mlp import init_mlp
 from sea_ensemble.seeds import derive_seed
 from sea_ensemble.harness import (
@@ -201,6 +201,72 @@ class TestRunCv:
             assert 0.0 <= r.metric <= 1.0
 
 
+def separate_cell(cfg: ExperimentConfig, param: float, m: int, fold: int) -> SweepRow:
+    """One sweep cell built on its own: its own standardization, ensemble and epoch-0 pass."""
+    ds = load_dataset(cfg)
+    split = fold_split_for(cfg, ds.n_samples)
+    train_raw, test_raw = (Dataset(ds.name, ds.features[i], ds.targets[i], task=ds.task, n_classes=ds.n_classes)
+                           for i in (split.train_indices(fold), split.test_indices(fold)))
+    train, stats = standardize(train_raw)
+    test, _ = standardize(test_raw, stats)
+    eval_ds = train if cfg.metric_on_train else test
+    ens = build_ensemble(train.n_features, list(cfg.hidden), train.n_outputs, m,
+                         MethodConfig(cfg.method, param), seed=fold_seed(cfg, fold), n_train=train.n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        epoch0 = harness.metric_for_task(ds.task)(predictions_batch(ens, eval_ds.features)[0].mean(axis=0),
+                                                  eval_ds.targets)
+    return harness.run_fold(cfg, ens, train, eval_ds, fold, epoch0)
+
+
+def row_bits(r: SweepRow) -> tuple:
+    return (r.method, r.param, r.m, r.fold, repr(r.metric), repr(r.std), r.epochs, r.diverged, repr(r.epoch0_metric))
+
+
+class TestColumn:
+    """run_column shares one (M, fold) column's setup; every row must equal its cell built alone."""
+
+    @staticmethod
+    def assert_column_matches_cells(cfg: ExperimentConfig, monkeypatch) -> list[SweepRow]:
+        built = []
+        real_build = harness.build_ensemble
+
+        def recording_build(*args, **kwargs):
+            ens = real_build(*args, **kwargs)
+            built.append((ens, [a.copy() for a in ens.net.weights + ens.net.biases]))
+            return ens
+
+        monkeypatch.setattr(harness, "build_ensemble", recording_build)
+        ds = load_dataset(cfg)
+        m, fold = cfg.m_list[0], 1
+        column = harness.run_column(cfg, m, ds, fold_split_for(cfg, ds.n_samples), fold)
+        assert len(built) == 1
+        ens, initial = built[0]
+        for a, b in zip(ens.net.weights + ens.net.biases, initial):
+            np.testing.assert_array_equal(a, b)  # the shared initial arrays
+        monkeypatch.setattr(harness, "build_ensemble", real_build)
+        want = [separate_cell(cfg, p, m, fold) for p in cfg.grid]
+        assert [row_bits(r) for r in column] == [row_bits(r) for r in want]
+        return column
+
+    @pytest.mark.parametrize(
+        "method,grid", [("independent", (0.0, 1.0)), ("sea", (0.0, 0.7, 1.4)), ("ncl", (0.0, 0.5, 1.0)),
+                        ("nclstar", (0.0, 0.5, 1.0)), ("bagging", (0.0, 1.0))]
+    )
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    def test_equals_separate_cells(self, monkeypatch, method, grid, batch_size):
+        cfg = small_cfg(method=method, grid=grid, epochs=6, alpha=0.1, batch_size=batch_size)
+        self.assert_column_matches_cells(cfg, monkeypatch)
+
+    def test_metric_on_train(self, monkeypatch):
+        cfg = small_cfg(grid=(0.0, 0.7, 1.4), epochs=6, metric_on_train=True)
+        self.assert_column_matches_cells(cfg, monkeypatch)
+
+    def test_diverging_cell(self, monkeypatch):
+        cfg = small_cfg(grid=(0.5, 8.0, 9.0), epochs=300, alpha=1.0)
+        column = self.assert_column_matches_cells(cfg, monkeypatch)
+        assert [r.diverged for r in column] == [False, True, True]
+
+
 class TestSweep:
     def test_row_count(self):
         cfg = small_cfg(grid=(0.0, 1.0), m_list=(3,), folds=2)
@@ -217,6 +283,33 @@ class TestSweep:
         rows1 = run_sweep(cfg1).rows
         rows2 = run_sweep(cfg2).rows
         assert rows1 == rows2
+
+    def test_one_job_per_column(self, monkeypatch):
+        submitted = []
+
+        class InlinePool:
+            """ProcessPoolExecutor stand-in that records the jobs and runs them here."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *job_args):
+                submitted.extend(zip(*job_args))
+                return map(fn, *job_args)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_worker_inputs", ())  # restored after the test
+        cfg = small_cfg(grid=(0.0, 0.5, 1.0), m_list=(2, 4, 3), folds=3, epochs=2, workers=2)
+        rows = run_sweep(cfg).rows
+        assert submitted == [(m, f) for m in (4, 3, 2) for f in range(3)]  # largest M first
+        assert len(rows) == 27
+        assert rows == sorted(rows, key=SweepRow.sort_key)
 
     def test_workers_do_not_reload_dataset(self, monkeypatch):
         parent = os.getpid()

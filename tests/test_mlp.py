@@ -180,6 +180,22 @@ class TestBackward:
         for l in range(m.n_layers):
             np.testing.assert_allclose(dw_all[l], acc_w[l], rtol=1e-12, atol=1e-12)
 
+    def test_delta_layout_does_not_matter(self):
+        # train_epoch passes a swapaxes view of a feature-major (M, O, N)
+        # array; gradcheck and the tests pass C-contiguous (M, N, O) arrays
+        nets = [init_mlp(3, [6, 4], 3, seed) for seed in range(4)]
+        net = MLP(tuple(np.stack(ws) for ws in zip(*(n.weights for n in nets))),
+                  tuple(np.stack(bs) for bs in zip(*(n.biases for n in nets))))
+        rng = np.random.default_rng(3)
+        _, trace = forward_batch(net, rng.normal(size=(9, 3)))
+        delta = rng.normal(size=(4, 9, 3))
+        view = np.swapaxes(np.ascontiguousarray(np.swapaxes(delta, -1, -2)), -1, -2)
+        assert delta.flags.c_contiguous and not view.flags.c_contiguous
+        got_c = backward_batch(net, trace, delta)
+        got_view = backward_batch(net, trace, view)
+        for a, b in zip(got_c[0] + got_c[1], got_view[0] + got_view[1]):
+            np.testing.assert_array_equal(a, b)
+
     def test_shape_mismatch(self):
         m = init_mlp(2, [3], 1, 0)
         _, trace = forward_batch(m, np.array([[1.0, 2.0]]))
@@ -239,6 +255,13 @@ class TestSigmoid:
             warnings.simplefilter("error")
             out = _sigmoid(np.array([-1e3, 1e3]))
         assert out.tolist() == [0.0, 1.0]
+
+    def test_in_place_is_bitwise_equal(self):
+        z = np.random.default_rng(4).normal(0.0, 20.0, size=(3, 10, 200))
+        want = 0.5 * (1.0 + np.tanh(0.5 * z))
+        np.testing.assert_array_equal(_sigmoid(z), want)
+        assert _sigmoid(z, out=z) is z
+        np.testing.assert_array_equal(z, want)
 
     def test_matches_exp_forms(self):
         z = np.linspace(-50, 50, 200001)
