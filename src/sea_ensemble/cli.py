@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, gradcheck, harness
 from .data import standardize
-from .ensemble import MethodConfig, build_ensemble, ensemble_to_json, predictions_batch
+from .ensemble import MethodConfig, build_ensemble, ensemble_to_json, predictions_batch, train_epoch
 from .harness import ExperimentConfig, SynthSpec
 
 log = logging.getLogger("sea_ensemble.cli")
@@ -191,6 +191,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_train(args) -> int:
+    if args.metric_on_train:
+        raise UsageError("train scores the data it trains on; --metric-on-train is for sweep, boundary and diversity")
     cfg = _config_from_args(args)
     param = args.param if args.param is not None else cfg.grid[0]
     m = cfg.m_list[0]
@@ -203,7 +205,8 @@ def _cmd_train(args) -> int:
     )
     log.info("training %s param=%g M=%d for %d epochs", cfg.method, param, m, cfg.epochs)
     for _ in range(cfg.epochs):
-        harness.run_epoch(ens, train, cfg)
+        for batch in harness.epoch_batches(cfg, train.n_samples):
+            train_epoch(ens, train.features[batch], train.targets[batch], cfg.alpha)
     preds, _ = predictions_batch(ens, train.features)
     metric = harness.metric_for_task(cfg.task)(preds.mean(axis=0), train.targets)
     out = Path(cfg.outdir) / "checkpoint.json"

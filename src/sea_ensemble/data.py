@@ -130,10 +130,6 @@ class FoldSplit:
         if max(sizes) - min(sizes) > 1:
             raise ValueError("fold sizes must differ by at most 1")
 
-    @property
-    def n_folds(self) -> int:
-        return len(self.folds)
-
     def test_indices(self, fold: int) -> np.ndarray:
         return self.folds[fold]
 

@@ -26,7 +26,8 @@ dropped throughout: learner i's parameters only feel d(e_i)/d(f_i).
 
 The M learners live in one stacked MLP, one (M, fan_out, fan_in) weight and
 one (M, fan_out) bias array per layer, so a training step is one batched
-forward, backward and update with no loop over learners;
+forward, backward and update with no loop over learners. A stack may hold P
+ensembles, one per parameter value, trained by the same step;
 ``EnsembleModel.learners`` gives per-learner views for checkpoints.
 """
 
@@ -71,9 +72,11 @@ class MethodConfig:
 
 
 class EnsembleModel:
-    """M same-shape base learners held as one stacked MLP, ``net``, plus the training method.
+    """P ensembles of M same-shape learners held as one stacked MLP, ``net``, plus the training method.
 
-    Bagging's bootstrap resamples are kept as one (M, n) index array.
+    Ensemble p is learners [p*M, (p+1)*M) and trains at ``params[p]``; one
+    ensemble is P = 1 at ``config.param``. Bagging's bootstrap resamples are
+    one (M, n) index array, shared by the P ensembles.
     """
 
     def __init__(self, learners: list[MLP], config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):
@@ -87,9 +90,13 @@ class EnsembleModel:
             tuple(np.stack(bs) for bs in zip(*(m.biases for m in learners))),
         )
         self.config = config
+        self.params = np.array([config.param])
         self.seed = seed
         self.bootstrap = None if bootstrap is None else np.stack(bootstrap)
-        self._check_config()
+        if self.config.method in ADJUSTABLE and self.m < 2:
+            raise ValueError(f"{self.config.method} requires M >= 2, got M={self.m}")
+        if self.config.method == "sea":
+            warn_outside_sea_interval(self.config.param, self.m)
         if self.config.method == "bagging" and self.bootstrap is None:
             raise ValueError("bagging ensemble needs bootstrap indices")
         idx = self.bootstrap
@@ -104,28 +111,18 @@ class EnsembleModel:
             if idx.min() < 0 or idx.max() >= idx.shape[1]:
                 raise ValueError(f"bootstrap indices must lie in [0, {idx.shape[1]})")
 
-    def _check_config(self) -> None:
-        if self.config.method in ADJUSTABLE and self.m < 2:
-            raise ValueError(f"{self.config.method} requires M >= 2, got M={self.m}")
-        if self.config.method == "sea":
-            lo, hi = theory.sea_k_bounds(self.m)
-            if not lo < self.config.param < hi:
-                log.warning(
-                    "SEA k=%g outside the theoretical interval (%g, %g) for M=%d; proceeding",
-                    self.config.param, lo, hi, self.m,
-                )
+    def take(self, points, params=None) -> EnsembleModel:
+        """Ensembles ``points`` of this stack, copied in that order, at ``params`` (default: their own).
 
-    def with_param(self, param: float) -> EnsembleModel:
-        """A new ensemble of the same method at ``param``, starting from these parameters.
-
-        The two share their layer arrays and bootstrap; training replaces the
-        arrays and never writes into them (:func:`sgd_step`), so neither
-        ensemble sees the other's steps.
+        An index may repeat: ``take([0] * P, grid)`` starts P ensembles from ensemble 0's learners.
         """
+        points = np.asarray(points, dtype=np.intp)
+        rows = (points[:, None] * self.m + np.arange(self.m)).ravel()
         other = copy.copy(self)
-        other.net = copy.copy(self.net)
-        other.config = MethodConfig(self.config.method, param)
-        other._check_config()
+        other.net = copy.copy(self.net)  # rows of a checked stack need no second check
+        other.net.weights = tuple(w[rows] for w in self.net.weights)
+        other.net.biases = tuple(b[rows] for b in self.net.biases)
+        other.params = self.params[points] if params is None else np.array(params, dtype=np.float64)
         return other
 
     @property
@@ -133,12 +130,19 @@ class EnsembleModel:
         """Learner i as a single-network MLP whose arrays are views into the stack."""
         return [
             MLP(tuple(w[i] for w in self.net.weights), tuple(b[i] for b in self.net.biases))
-            for i in range(self.m)
+            for i in range(self.net.weights[0].shape[0])
         ]
 
     @property
     def m(self) -> int:
-        return self.net.weights[0].shape[0]
+        return self.net.weights[0].shape[0] // len(self.params)
+
+
+def warn_outside_sea_interval(k: float, m: int) -> None:
+    """Log a warning when sea's k lies outside the theoretical interval for M learners."""
+    lo, hi = theory.sea_k_bounds(m)
+    if not lo < k < hi:
+        log.warning("SEA k=%g outside the theoretical interval (%g, %g) for M=%d; proceeding", k, lo, hi, m)
 
 
 def build_ensemble(
@@ -221,25 +225,27 @@ def learner_losses(f: np.ndarray, anchor: np.ndarray, t: np.ndarray, config: Met
     raise ValueError(f"unknown method {config.method!r}")
 
 
-def output_gradients(preds: np.ndarray, t: np.ndarray, config: MethodConfig) -> np.ndarray:
-    """Per-learner output-space gradients d(loss_i)/d(f_i) over an (M, N, O) stack.
+def output_gradients(preds: np.ndarray, t: np.ndarray, config: MethodConfig, params=None) -> np.ndarray:
+    """Per-learner output-space gradients d(loss_i)/d(f_i) over a (P*M, N, O) stack of P ensembles.
 
+    Ensemble p, viewed as slice p of (P, M, N, O), takes its mean over its own
+    M learners at ``params[p]`` (default: one ensemble at ``config.param``).
     The nclstar coefficient is computed as gamma (M-1)/M so that the identity
     with the ncl gradient at lambda = gamma (M-1)/M is bitwise exact.
     """
-    m = preds.shape[0]
-    err = preds - t  # (M, N, O) broadcast of f_i - t
+    p = np.asarray([config.param] if params is None else params).reshape(-1, 1, 1, 1)
+    f = preds.reshape(len(p), -1, *preds.shape[1:])
+    m = f.shape[1]
+    err = f - t  # (P, M, N, O) broadcast of f_i - t
+    fbar = np.add.reduce(f, axis=1, keepdims=True) / m  # the mean, without np.mean's Python-level overhead
     if config.method in ("sea", "independent", "bagging"):
-        k = config.param if config.method == "sea" else 0.0
-        fbar = preds.mean(axis=0)
+        k = p if config.method == "sea" else 0.0
         comp_err = err - m * (fbar - t)  # g_i - t
-        return err - k * comp_err
+        return (err - k * comp_err).reshape(preds.shape)
     if config.method == "ncl":
-        fbar = preds.mean(axis=0)
-        return err - config.param * (preds - fbar)
+        return (err - p * (f - fbar)).reshape(preds.shape)
     if config.method == "nclstar":
-        fbar = preds.mean(axis=0)
-        return err - config.param * (m - 1.0) / m * (preds - fbar)
+        return (err - p * (m - 1.0) / m * (f - fbar)).reshape(preds.shape)
     raise ValueError(f"unknown method {config.method!r}")
 
 
@@ -252,11 +258,12 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
 
     All M learners are forwarded, per-learner output-space gradients are
     computed from the pre-update parameters, and every learner takes one SGD
-    step at the end. Gradients are averaged over the batch. A bagging learner
-    weights each row by the number of times its bootstrap resample drew it,
-    so its gradient is sum_r c_r (f_r - t_r) / n. If any learner's update is
-    non-finite, the :class:`DivergenceError` names the lowest such learner
-    and the ensemble is left unchanged.
+    step at the end; a stack of P ensembles steps each at its own parameter.
+    Gradients are averaged over the batch. A bagging learner weights each row
+    by the number of times its bootstrap resample drew it, so its gradient is
+    sum_r c_r (f_r - t_r) / n. If any learner's update is non-finite, the
+    :class:`DivergenceError` flags every such learner and the stack is left
+    unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -273,13 +280,13 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
     # Overflow in a diverging run surfaces as DivergenceError at the update.
     with np.errstate(over="ignore", invalid="ignore"):
         preds, trace = predictions_batch(ens, x)
-        deltas = output_gradients(preds, t, ens.config)
+        deltas = output_gradients(preds, t, ens.config, ens.params)
         if ens.bootstrap is not None:
             # row r of learner i counts how often resample i drew r
             m = ens.m
             offsets = n * np.arange(m)[:, None]
             counts = np.bincount((ens.bootstrap + offsets).ravel(), minlength=m * n)
-            deltas *= counts.reshape(m, n)[:, :, None]
+            deltas *= np.tile(counts.reshape(m, n), (len(ens.params), 1))[:, :, None]
         grads = backward_batch(ens.net, trace, deltas / n)
     sgd_step(ens.net, grads, alpha)
 

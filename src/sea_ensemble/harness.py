@@ -3,7 +3,9 @@
 A sweep is the Cartesian product (parameter grid) x (ensemble sizes) x
 (folds) for one method on one dataset. Each (ensemble size, fold) column of
 grid points is one job, which standardizes the fold, builds the initial
-learners and scores the untrained ensemble once for all its grid points;
+learners and scores the untrained ensemble once for all its grid points,
+then trains the points as one stack of P*M learners, in chunks of at most
+``STACK_BYTES`` per layer activation;
 rows are sorted before persistence so output files are byte-identical for
 a given config regardless of worker count.
 
@@ -43,6 +45,7 @@ from .ensemble import (
     build_ensemble,
     predictions_batch,
     train_epoch,
+    warn_outside_sea_interval,
 )
 from .mlp import DivergenceError
 from .seeds import derive_seed
@@ -68,6 +71,15 @@ TRIVIAL_RMSE_LEVEL = 1.0
 PLATEAU_SPREAD = 0.02    # max relative spread inside the trailing plateau run
 BOUNDARY_MARGIN = 0.05   # required improvement over the plateau
 MIN_BOUNDARY_POINTS = 5  # distinct grid points the boundary estimator needs
+
+# Bytes of one layer's activations over a chunk of a column's grid points.
+# Stacking pays where a step is mostly per-call overhead: at M=20 and
+# 10-row batches a chunk holds 4 points. Past about 100 KB, a step's
+# temporaries cross glibc's 128 KB mmap threshold and are faulted in again
+# at every step (15 learners x 200 rows on a 2-vCPU x86 VM: 181 page faults
+# and ~0.2 ms of system time a step), so full-batch columns on 200 rows
+# stay unstacked.
+STACK_BYTES = 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +253,9 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
 
     What the grid points share is done once: the standardization (fitted on
     the training folds only), the initial learners and bagging's bootstrap,
-    and the untrained ensemble's metric. Each grid point then trains its own
-    :meth:`~sea_ensemble.ensemble.EnsembleModel.with_param` copy, which shares
-    the initial arrays, in :func:`run_fold`.
+    and the untrained ensemble's metric. The grid points then train as P
+    copies of the initial learners on one (P*M, fan_out, fan_in) stack, in
+    :func:`train_stack`, in chunks of at most ``STACK_BYTES`` per activation.
     """
     train_idx = split.train_indices(fold)
     test_idx = split.test_indices(fold)
@@ -268,7 +280,13 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     with np.errstate(over="ignore", invalid="ignore"):
         preds0, _ = predictions_batch(untrained, eval_ds.features)
         epoch0 = metric_for_task(ds.task)(preds0.mean(axis=0), eval_ds.targets)
-    return [run_fold(cfg, untrained.with_param(p), train, eval_ds, fold, epoch0) for p in cfg.grid]
+    n_rows = epoch_batches(cfg, train.n_samples)[0].stop
+    chunk = max(1, STACK_BYTES // (8 * m * max(cfg.hidden + (train.n_outputs,)) * n_rows))
+    rows = []
+    for start in range(0, len(cfg.grid), chunk):
+        grid = cfg.grid[start : start + chunk]
+        rows += train_stack(cfg, untrained.take([0] * len(grid), grid), train, eval_ds, fold, epoch0)
+    return rows
 
 
 def run_fold(
@@ -279,45 +297,60 @@ def run_fold(
     fold: int,
     epoch0: float,
 ) -> SweepRow:
-    """Train one ensemble for ``cfg.epochs`` on ``train`` and score it on ``eval_ds``: one sweep cell.
+    """Train one ensemble for ``cfg.epochs`` on ``train`` and score it on ``eval_ds``: one sweep cell."""
+    (row,) = train_stack(cfg, ens, train, eval_ds, fold, epoch0)
+    return row
 
-    A divergent run is reported as a flagged row (metric NaN), not an
-    exception, so sweeps past the theoretical boundary run to completion.
-    ``epoch0`` is the untrained ensemble's metric, carried into the row.
+
+def train_stack(
+    cfg: ExperimentConfig,
+    ens: EnsembleModel,
+    train: Dataset,
+    eval_ds: Dataset,
+    fold: int,
+    epoch0: float,
+) -> list[SweepRow]:
+    """Train a stack of P ensembles for ``cfg.epochs`` and score each on ``eval_ds``: one row per ensemble.
+
+    An ensemble whose update turns non-finite leaves the stack, flagged (metric
+    NaN) with its completed epochs, and the others retake the step without it,
+    so sweeps past the theoretical boundary run to completion. Each row is
+    bitwise what its ensemble trained alone gives, and carries ``epoch0``.
     """
     metric = metric_for_task(eval_ds.task)
-    method, param = ens.config.method, ens.config.param
+    params = [float(p) for p in ens.params]
+    live = list(range(len(params)))  # the ensembles still on the stack, in stack order
+    epochs = {}  # the completed epochs of the ensembles that left the stack
+    rows = [None] * len(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        diverged = False
-        epochs_run = 0
-        for _ in range(cfg.epochs):
-            try:
-                run_epoch(ens, train, cfg)
-            except DivergenceError:
-                diverged = True
-                break
-            epochs_run += 1
-
-        if not diverged:
-            preds, _ = predictions_batch(ens, eval_ds.features)
+        for epoch in range(cfg.epochs):
+            for batch in epoch_batches(cfg, train.n_samples):
+                while live:
+                    try:
+                        train_epoch(ens, train.features[batch], train.targets[batch], cfg.alpha)
+                        break
+                    except DivergenceError as exc:
+                        out = exc.mask.reshape(len(live), ens.m).any(axis=1)
+                        epochs.update({point: epoch for point, o in zip(live, out) if o})
+                        live = [point for point, o in zip(live, out) if not o]
+                        ens = ens.take(np.flatnonzero(~out)) if live else ens
+        for j, point in enumerate(live):
+            preds, _ = predictions_batch(ens.take([j]), eval_ds.features)
             value = metric(preds.mean(axis=0), eval_ds.targets)
-            spread = theory.empirical_std(preds)
-    # parameters can stay finite while the predictions overflow
-    if diverged or not np.isfinite(value):
-        return SweepRow(method, param, ens.m, fold, float("nan"), float("nan"), epochs_run, True, epoch0)
-    return SweepRow(method, param, ens.m, fold, value, spread, epochs_run, False, epoch0)
+            if np.isfinite(value):  # parameters can stay finite while the predictions overflow
+                rows[point] = SweepRow(ens.config.method, params[point], ens.m, fold, value,
+                                       theory.empirical_std(preds), cfg.epochs, False, epoch0)
+    nan = float("nan")
+    return [row or SweepRow(ens.config.method, p, ens.m, fold, nan, nan, epochs.get(j, cfg.epochs), True, epoch0)
+            for j, (row, p) in enumerate(zip(rows, params))]
 
 
-def run_epoch(ens: EnsembleModel, train: Dataset, cfg: ExperimentConfig) -> None:
-    """One pass over ``train`` in steps of ``cfg.batch_size`` rows, or one full-batch step."""
+def epoch_batches(cfg: ExperimentConfig, n: int) -> list[slice]:
+    """The row slices of one epoch over n rows: steps of ``cfg.batch_size`` rows, or one full batch."""
     # Bagging always trains full-batch: bootstrap rows index the whole set.
-    if cfg.batch_size is None or ens.config.method == "bagging":
-        train_epoch(ens, train.features, train.targets, cfg.alpha)
-        return
-    n = train.n_samples
-    for start in range(0, n, cfg.batch_size):
-        stop = min(start + cfg.batch_size, n)
-        train_epoch(ens, train.features[start:stop], train.targets[start:stop], cfg.alpha)
+    if cfg.batch_size is None or cfg.method == "bagging":
+        return [slice(0, n)]
+    return [slice(start, min(start + cfg.batch_size, n)) for start in range(0, n, cfg.batch_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +402,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     One job per (M, fold) column, largest M first so the longest jobs start
     first. The dataset is loaded and split once; with ``cfg.workers > 1``
-    each pool worker receives them when it starts, not with every job.
+    each pool worker receives them when it starts, not with every job. A sea
+    k outside the theoretical interval is logged here, once per (M, k).
     """
     started = time.perf_counter()
+    if cfg.method == "sea":
+        for m, k in sorted({(m, k) for m in cfg.m_list for k in cfg.grid}):
+            warn_outside_sea_interval(k, m)
     jobs = [(m, fold) for m in sorted(cfg.m_list, reverse=True) for fold in range(cfg.folds)]
     ds = load_dataset(cfg)
     split = fold_split_for(cfg, ds.n_samples)

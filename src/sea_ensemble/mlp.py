@@ -25,11 +25,12 @@ import numpy as np
 
 
 class DivergenceError(RuntimeError):
-    """An update produced a non-finite parameter."""
+    """An update produced a non-finite parameter; on a stack, ``mask`` flags each such learner."""
 
-    def __init__(self, message: str, learner: int | None = None):
+    def __init__(self, message: str, learner: int | None = None, mask: np.ndarray | None = None):
         super().__init__(message)
         self.learner = learner
+        self.mask = mask
 
 
 @dataclass
@@ -162,8 +163,8 @@ def sgd_step(
     Each layer gets a new array and ``m`` is rebound to them; the old arrays
     are not written into, so views and copies taken before the step keep
     their values. A non-finite result raises :class:`DivergenceError` and
-    leaves ``m`` unchanged; on a stack its ``learner`` is the lowest learner
-    index with a non-finite layer.
+    leaves ``m`` unchanged; on a stack its ``mask`` flags every learner with a
+    non-finite layer and its ``learner`` is the lowest of them.
     """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")
@@ -180,9 +181,10 @@ def sgd_step(
     finite = np.array([np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
                        for w, b in zip(weights, biases)])
     if not finite.all():
-        learner = None if finite.ndim == 1 else int(np.argmin(finite.all(axis=0)))
+        mask = None if finite.ndim == 1 else ~finite.all(axis=0)
+        learner = None if mask is None else int(np.argmax(mask))
         layer = int(np.argmin(finite if learner is None else finite[:, learner]))
-        raise DivergenceError(f"non-finite parameter after update in layer {layer}", learner=learner)
+        raise DivergenceError(f"non-finite parameter after update in layer {layer}", learner, mask)
     m.weights = tuple(weights)
     m.biases = tuple(biases)
 

@@ -118,7 +118,28 @@ class TestSweep:
         assert (tmp_path / "sweep.json").read_bytes() == json1
 
 
+    def test_worker_count_keeps_bytes_with_diverging_rows(self, tmp_path):
+        # nclstar past its boundary at 7-row batches: 6 of the 12 rows diverge mid-sweep
+        args = ["sweep", "--method", "nclstar", "--grid", "0:5:1", "--m", "5", "--batch-size", "7",
+                "--alpha", "0.3", "--synth-n", "200", "--epochs", "20", "--folds", "2", "--seed", "1"]
+        assert main(args + ["--workers", "1", "--outdir", str(tmp_path / "w1")]) == EXIT_OK
+        assert main(args + ["--workers", "2", "--outdir", str(tmp_path / "w2")]) == EXIT_OK
+        csv = (tmp_path / "w1" / "sweep.csv").read_bytes()
+        assert csv == (tmp_path / "w2" / "sweep.csv").read_bytes()
+        assert sum(line.endswith(b",1") for line in csv.splitlines()) == 6
+
+
 class TestTrain:
+    def test_metric_on_train_rejected_before_training(self, tmp_path, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before rejecting the flag")
+
+        monkeypatch.setattr("sea_ensemble.cli.train_epoch", no_training)
+        args = ["train", "--method", "sea", "--param", "0.5", "--grid", "0.5", "--metric-on-train",
+                "--outdir", str(tmp_path)] + BASE
+        assert main(args) == EXIT_USAGE
+        assert not (tmp_path / "checkpoint.json").exists()
+
     def test_writes_loadable_checkpoint(self, tmp_path):
         args = ["train", "--method", "sea", "--param", "0.5", "--grid", "0.5",
                 "--outdir", str(tmp_path)] + BASE

@@ -6,6 +6,7 @@ import pytest
 from sea_ensemble import gradcheck, theory
 from sea_ensemble.data import standardize, synth_regression
 from sea_ensemble.ensemble import (
+    METHODS,
     EnsembleModel,
     MethodConfig,
     bootstrap_indices,
@@ -422,6 +423,52 @@ class TestStackedStep:
         b = init_mlp(2, [4], 1, 1)
         with pytest.raises(ValueError, match="learner 1"):
             EnsembleModel([a, b], MethodConfig("sea", 0.5), seed=0)
+
+
+class TestGridStack:
+    """P ensembles on one (P*M) stack: each slice is bitwise what its ensemble computes alone."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("p,m,n", [(11, 20, 10), (31, 10, 200), (21, 5, 320), (3, 3, 7), (4, 9, 1)])
+    def test_output_gradients_match_slices(self, method, p, m, n):
+        rng = np.random.default_rng([p, m, n])
+        params = rng.uniform(-0.5, 2.0, p)
+        preds = np.swapaxes(rng.normal(size=(p * m, 1, n)), 1, 2)  # the feature-major layout of forward_batch
+        t = rng.normal(size=(n, 1))
+        got = output_gradients(preds, t, MethodConfig(method), params)
+        assert got.shape == preds.shape
+        for j, param in enumerate(params):
+            want = output_gradients(preds[j * m : (j + 1) * m], t, MethodConfig(method, param))
+            np.testing.assert_array_equal(got[j * m : (j + 1) * m], want)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_train_epoch_matches_ensembles_alone(self, method):
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        grid = [0.0, 0.3, 0.9]
+        base = build_ensemble(2, [6, 4], 1, 4, MethodConfig(method), seed=17, n_train=ds.n_samples)
+        initial = [a.copy() for a in base.net.weights + base.net.biases]
+        stack = base.take([0] * len(grid), grid)
+        assert (stack.m, stack.params.tolist()) == (4, grid)
+        for _ in range(3):
+            train_epoch(stack, ds.features, ds.targets, 0.1)
+        for a, b in zip(base.net.weights + base.net.biases, initial):
+            np.testing.assert_array_equal(a, b)
+        for j, param in enumerate(grid):
+            alone = build_ensemble(2, [6, 4], 1, 4, MethodConfig(method, param), seed=17, n_train=ds.n_samples)
+            for _ in range(3):
+                train_epoch(alone, ds.features, ds.targets, 0.1)
+            got = stack.take([j])
+            assert got.params.tolist() == [param]
+            for a, b in zip(got.net.weights + got.net.biases, alone.net.weights + alone.net.biases):
+                np.testing.assert_array_equal(a, b)
+
+    def test_divergence_flags_the_diverging_ensemble(self):
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        stack = build_ensemble(2, [6, 4], 1, 3, MethodConfig("sea"), seed=17).take([0, 0, 0], [0.5, 60.0, 0.5])
+        with pytest.raises(DivergenceError) as exc:
+            for _ in range(50):
+                train_epoch(stack, ds.features, ds.targets, 5.0)
+        assert exc.value.mask.any() and not exc.value.mask[:3].any() and not exc.value.mask[6:].any()
 
 
 class TestBagging:

@@ -1,3 +1,4 @@
+import logging
 import os
 
 import numpy as np
@@ -266,6 +267,57 @@ class TestColumn:
         column = self.assert_column_matches_cells(cfg, monkeypatch)
         assert [r.diverged for r in column] == [False, True, True]
 
+    @pytest.mark.parametrize("points", [2, 3, 4])
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    def test_chunk_borders(self, monkeypatch, points, batch_size):
+        # a budget of three grid points (M=3, width 5, 40 training rows or
+        # 7-row batches), against grids of two, three and four points
+        rows = 40 if batch_size is None else batch_size
+        monkeypatch.setattr(harness, "STACK_BYTES", 3 * 3 * 5 * rows * 8)
+        stacks = []
+        real = harness.train_stack
+
+        def recording(cfg, ens, *args):
+            stacks.append(ens.params.tolist())
+            return real(cfg, ens, *args)
+
+        monkeypatch.setattr(harness, "train_stack", recording)
+        grid = tuple(0.25 * i for i in range(points))
+        cfg = small_cfg(method="ncl", grid=grid, epochs=6, alpha=0.1, batch_size=batch_size)
+        self.assert_column_matches_cells(cfg, monkeypatch)
+        chunks = [list(grid[i : i + 3]) for i in range(0, points, 3)]
+        assert stacks == chunks + [[p] for p in grid]  # the column's chunks, then the cells alone
+
+    @pytest.mark.parametrize("in_front", [False, True])
+    def test_point_diverging_mid_epoch(self, monkeypatch, in_front):
+        # k = 8 diverges in step 5 of epoch 30 and the other points train on;
+        # in_front puts it first in the stack, so the points behind it shift
+        failures = []
+        steps = []
+        real_step, real_stack = harness.train_epoch, harness.train_stack
+
+        def recording(ens, x, t, alpha):
+            try:
+                real_step(ens, x, t, alpha)
+            except harness.DivergenceError:
+                failures.append((len(steps), ens.params.tolist()))
+                raise
+            steps.append(ens.params.tolist())
+
+        def reversed_stack(cfg, ens, *args):
+            return real_stack(cfg, ens.take(np.arange(len(ens.params))[::-1]), *args)[::-1]
+
+        monkeypatch.setattr(harness, "train_epoch", recording)
+        if in_front:
+            monkeypatch.setattr(harness, "train_stack", reversed_stack)
+        cfg = small_cfg(grid=(0.0, 0.5, 8.0), epochs=40, alpha=0.3, batch_size=7)
+        column = self.assert_column_matches_cells(cfg, monkeypatch)
+        assert [(r.diverged, r.epochs) for r in column] == [(False, 40), (False, 40), (True, 29)]
+        done, stack = failures[0]
+        assert done == 29 * 6 + 4  # 6 steps an epoch over the 40 training rows
+        assert stack == ([8.0, 0.5, 0.0] if in_front else [0.0, 0.5, 8.0])
+        assert steps[done] == [p for p in stack if p != 8.0]  # the step retaken without it
+
 
 class TestSweep:
     def test_row_count(self):
@@ -310,6 +362,16 @@ class TestSweep:
         assert submitted == [(m, f) for m in (4, 3, 2) for f in range(3)]  # largest M first
         assert len(rows) == 27
         assert rows == sorted(rows, key=SweepRow.sort_key)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sea_interval_warning_once_per_m_and_k(self, caplog, workers):
+        # k in (-1/(M-1), 2 + 1/(M-1)): -0.4 is outside for M=4 only, 3.0 for both
+        cfg = small_cfg(grid=(-0.4, 0.5, 3.0), m_list=(3, 4), folds=2, epochs=1, workers=workers)
+        with caplog.at_level(logging.WARNING, logger="sea_ensemble"):
+            run_sweep(cfg)
+        warned = sorted(r.getMessage().split()[1] + " " + r.getMessage().split()[-2].rstrip(";")
+                        for r in caplog.records if "outside" in r.getMessage())
+        assert warned == ["k=-0.4 M=4", "k=3 M=3", "k=3 M=4"]
 
     def test_workers_do_not_reload_dataset(self, monkeypatch):
         parent = os.getpid()

@@ -301,6 +301,27 @@ class TestStack:
             sgd_step(net, grads, 1e10)
         assert exc.value.learner == 2
 
+    def test_divergence_mask_names_every_learner(self):
+        net = self.stack(9)
+        before = [a.copy() for a in net.weights + net.biases]
+        dw = [np.zeros_like(w) for w in net.weights]
+        db = [np.zeros_like(b) for b in net.biases]
+        dw[1][7] = np.inf
+        db[0][2, 1] = np.nan
+        with pytest.raises(DivergenceError) as exc:
+            sgd_step(net, (tuple(dw), tuple(db)), 0.1)
+        assert exc.value.mask.tolist() == [i in (2, 7) for i in range(9)]
+        assert exc.value.learner == 2
+        for a, b in zip(net.weights + net.biases, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_single_network_has_no_mask(self):
+        net = init_mlp(2, [3], 1, 0)
+        grads = (tuple(np.full_like(w, np.inf) for w in net.weights), tuple(np.zeros_like(b) for b in net.biases))
+        with pytest.raises(DivergenceError) as exc:
+            sgd_step(net, grads, 0.1)
+        assert exc.value.learner is None and exc.value.mask is None
+
 
 class TestCheckpoint:
     def test_roundtrip(self):
