@@ -27,8 +27,9 @@ dropped throughout: learner i's parameters only feel d(e_i)/d(f_i).
 The M learners live in one stacked MLP, one (M, fan_out, fan_in) weight and
 one (M, fan_out) bias array per layer, so a training step is one batched
 forward, backward and update with no loop over learners. A stack may hold P
-ensembles, one per parameter value, trained by the same step;
-``EnsembleModel.learners`` gives per-learner views for checkpoints.
+ensembles, one per parameter value, trained by the same step. The stack is
+the only form an ensemble has: it is built, checkpointed and reloaded as
+one MLP.
 """
 
 from __future__ import annotations
@@ -79,16 +80,13 @@ class EnsembleModel:
     one (M, n) index array, shared by the P ensembles.
     """
 
-    def __init__(self, learners: list[MLP], config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):
-        if not learners:
+    def __init__(self, net: MLP, config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):
+        # MLP has checked the stack; a checkpoint may still hold a single network or no learner
+        if net.weights[0].ndim != 3:
+            raise ValueError(f"ensemble needs a stacked MLP, got layer 0 weights {net.weights[0].shape}")
+        if net.weights[0].shape[0] == 0:
             raise ValueError("ensemble needs at least one learner")
-        for i, m in enumerate(learners):
-            if [w.shape for w in m.weights] != [w.shape for w in learners[0].weights]:
-                raise ValueError(f"learner {i} layer shapes differ from learner 0")
-        self.net = MLP(
-            tuple(np.stack(ws) for ws in zip(*(m.weights for m in learners))),
-            tuple(np.stack(bs) for bs in zip(*(m.biases for m in learners))),
-        )
+        self.net = net
         self.config = config
         self.params = np.array([config.param])
         self.seed = seed
@@ -127,7 +125,7 @@ class EnsembleModel:
 
     @property
     def learners(self) -> list[MLP]:
-        """Learner i as a single-network MLP whose arrays are views into the stack."""
+        """Learner i as a single-network MLP whose arrays are views into the stack, for inspection."""
         return [
             MLP(tuple(w[i] for w in self.net.weights), tuple(b[i] for b in self.net.biases))
             for i in range(self.net.weights[0].shape[0])
@@ -161,13 +159,15 @@ def build_ensemble(
     share initial parameters. Bagging additionally draws its bootstrap
     resamples (requires ``n_train``).
     """
-    learners = [init_mlp(d_in, hidden, d_out, derive_seed(seed, "learner", i)) for i in range(m)]
+    nets = [init_mlp(d_in, hidden, d_out, derive_seed(seed, "learner", i)) for i in range(m)]
+    net = MLP(tuple(np.stack(ws) for ws in zip(*(n.weights for n in nets))),
+              tuple(np.stack(bs) for bs in zip(*(n.biases for n in nets))))
     bootstrap = None
     if config.method == "bagging":
         if n_train is None:
             raise ValueError("bagging needs n_train to draw bootstrap indices")
         bootstrap = bootstrap_indices(n_train, m, derive_seed(seed, "bootstrap"))
-    return EnsembleModel(learners, config, seed, bootstrap)
+    return EnsembleModel(net, config, seed, bootstrap)
 
 
 def bootstrap_indices(n: int, m: int, seed: int) -> list[np.ndarray]:
@@ -296,12 +296,15 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
 
 
 def ensemble_to_json(ens: EnsembleModel) -> str:
+    """The ``sea-ensemble/2`` checkpoint of one ensemble: its stacked net, method, parameter, seed and bootstrap."""
+    if len(ens.params) != 1:
+        raise ValueError(f"a checkpoint holds one ensemble, not a stack of {len(ens.params)}")
     doc = {
-        "format": "sea-ensemble/1",
+        "format": "sea-ensemble/2",
         "method": ens.config.method,
-        "param": ens.config.param,
+        "param": float(ens.params[0]),
         "seed": ens.seed,
-        "learners": [mlp_to_dict(m) for m in ens.learners],
+        "net": mlp_to_dict(ens.net),
         "bootstrap": None
         if ens.bootstrap is None
         else [[int(v) for v in idx] for idx in ens.bootstrap],
@@ -311,11 +314,10 @@ def ensemble_to_json(ens: EnsembleModel) -> str:
 
 def ensemble_from_json(text: str) -> EnsembleModel:
     doc = json.loads(text)
-    if doc.get("format") != "sea-ensemble/1":
+    if doc.get("format") != "sea-ensemble/2":
         raise ValueError(f"unsupported checkpoint format: {doc.get('format')!r}")
-    learners = [mlp_from_dict(d) for d in doc["learners"]]
     # no dtype: fractional indices stay floats and are rejected, not truncated
     bootstrap = None if doc["bootstrap"] is None else np.asarray(doc["bootstrap"])
     return EnsembleModel(
-        learners, MethodConfig(doc["method"], doc["param"]), doc["seed"], bootstrap
+        mlp_from_dict(doc["net"]), MethodConfig(doc["method"], doc["param"]), doc["seed"], bootstrap
     )

@@ -21,7 +21,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -151,25 +151,7 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "format": CONFIG_FORMAT,
-            "name": self.name,
-            "dataset_path": self.dataset_path,
-            "synth": None if self.synth is None else {"n": self.synth.n, "noise_sd": self.synth.noise_sd},
-            "task": self.task,
-            "method": self.method,
-            "grid": list(self.grid),
-            "m_list": list(self.m_list),
-            "folds": self.folds,
-            "epochs": self.epochs,
-            "alpha": self.alpha,
-            "hidden": list(self.hidden),
-            "seed": self.seed,
-            "outdir": self.outdir,
-            "batch_size": self.batch_size,
-            "workers": self.workers,
-            "metric_on_train": self.metric_on_train,
-        }
+        return {"format": CONFIG_FORMAT, **asdict(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -287,19 +269,6 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
         grid = cfg.grid[start : start + chunk]
         rows += train_stack(cfg, untrained.take([0] * len(grid), grid), train, eval_ds, fold, epoch0)
     return rows
-
-
-def run_fold(
-    cfg: ExperimentConfig,
-    ens: EnsembleModel,
-    train: Dataset,
-    eval_ds: Dataset,
-    fold: int,
-    epoch0: float,
-) -> SweepRow:
-    """Train one ensemble for ``cfg.epochs`` on ``train`` and score it on ``eval_ds``: one sweep cell."""
-    (row,) = train_stack(cfg, ens, train, eval_ds, fold, epoch0)
-    return row
 
 
 def train_stack(
@@ -596,17 +565,16 @@ def _write_text(path: Path, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """The header line, then one line per row with every field through ``_fmt``."""
+    _write_text(path, "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n")
+
+
 def persist_sweep(result: SweepResult, outdir: str | Path, prefix: str = "") -> list[Path]:
     outdir = Path(outdir)
-    lines = [SWEEP_CSV_HEADER]
-    for r in result.rows:
-        lines.append(
-            ",".join(
-                [r.method, _fmt(r.param), str(r.m), str(r.fold), _fmt(r.metric), _fmt(r.std), str(r.epochs), _fmt(r.diverged)]
-            )
-        )
     csv_path = outdir / f"{prefix}sweep.csv"
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    rows = ((r.method, r.param, r.m, r.fold, r.metric, r.std, r.epochs, r.diverged) for r in result.rows)
+    _write_csv(csv_path, SWEEP_CSV_HEADER, rows)
     meta_path = outdir / f"{prefix}sweep.json"
     meta = {"format": CONFIG_FORMAT, "task": result.task, "config": json.loads(result.fingerprint)}
     _write_text(meta_path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -632,11 +600,8 @@ def load_sweep(outdir: str | Path, prefix: str = "") -> SweepResult:
 
 
 def persist_boundary(est: BoundaryEstimate, outdir: str | Path, prefix: str = "") -> Path:
-    lines = [BOUNDARY_CSV_HEADER]
-    for p in est.points:
-        lines.append(",".join([_fmt(p.param), _fmt(p.metric), _fmt(p.is_plateau), _fmt(p.is_boundary)]))
     path = Path(outdir) / f"{prefix}boundary.csv"
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, BOUNDARY_CSV_HEADER, ((p.param, p.metric, p.is_plateau, p.is_boundary) for p in est.points))
     return path
 
 
@@ -644,34 +609,18 @@ def persist_bounds_table(m_lo: int, m_hi: int, path: str | Path) -> Path:
     """CSV of the closed-form bounds for every ensemble size in [m_lo, m_hi]."""
     if m_lo < 2 or m_hi < m_lo:
         raise ValueError(f"need 2 <= m_lo <= m_hi, got {m_lo}..{m_hi}")
-    lines = [BOUNDS_CSV_HEADER]
-    for m in range(m_lo, m_hi + 1):
-        rep = theory.bound_report(m)
-        lines.append(
-            ",".join(
-                [
-                    str(m),
-                    _fmt(rep.ncl_lambda_hessian),
-                    _fmt(rep.ncl_lambda_sea),
-                    _fmt(rep.nclstar_gamma_hessian),
-                    _fmt(rep.nclstar_gamma_sea),
-                    _fmt(rep.sea_k_interval[0]),
-                    _fmt(rep.sea_k_interval[1]),
-                ]
-            )
-        )
+    reps = (theory.bound_report(m) for m in range(m_lo, m_hi + 1))
     path = Path(path)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, BOUNDS_CSV_HEADER, ((r.m, r.ncl_lambda_hessian, r.ncl_lambda_sea, r.nclstar_gamma_hessian,
+                                          r.nclstar_gamma_sea, *r.sea_k_interval) for r in reps))
     return path
 
 
 def persist_diversity(profile: DiversityProfile, outdir: str | Path, prefix: str = "") -> list[Path]:
-    lines = [DIVERSITY_CSV_HEADER]
-    for p, e, pr, met in zip(profile.params, profile.empirical_std, profile.predicted_std, profile.metric_mean):
-        lines.append(",".join([_fmt(p), _fmt(e), _fmt(pr), _fmt(met)]))
     outdir = Path(outdir)
     csv_path = outdir / f"{prefix}diversity.csv"
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    _write_csv(csv_path, DIVERSITY_CSV_HEADER,
+               zip(profile.params, profile.empirical_std, profile.predicted_std, profile.metric_mean))
     meta_path = outdir / f"{prefix}diversity.json"
     meta = {
         "format": CONFIG_FORMAT,

@@ -190,14 +190,14 @@ def sgd_step(
 
 
 def mlp_to_dict(m: MLP) -> dict:
-    """Flat JSON-ready checkpoint: layer shapes plus row-major value arrays."""
+    """Flat JSON-ready checkpoint of a network or a stack: layer shapes plus row-major value arrays."""
     return {
         "format": "sea-mlp/1",
         "layers": [
             {
                 "shape": list(w.shape),
                 "weights": [float(v) for v in w.ravel()],
-                "biases": [float(v) for v in b],
+                "biases": [float(v) for v in b.ravel()],
             }
             for w, b in zip(m.weights, m.biases)
         ],
@@ -212,5 +212,5 @@ def mlp_from_dict(d: dict) -> MLP:
     for layer in d["layers"]:
         shape = tuple(layer["shape"])
         weights.append(np.asarray(layer["weights"], dtype=np.float64).reshape(shape))
-        biases.append(np.asarray(layer["biases"], dtype=np.float64))
+        biases.append(np.asarray(layer["biases"], dtype=np.float64).reshape(shape[:-1]))
     return MLP(tuple(weights), tuple(biases))

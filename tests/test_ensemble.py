@@ -226,8 +226,8 @@ class TestGradientRelations:
 
 class TestEnsemblePredict:
     def _two_constant_learners(self, y0: float, y1: float) -> EnsembleModel:
-        mk = lambda y: MLP((np.zeros((1, 1)),), (np.array([y]),))
-        return EnsembleModel([mk(y0), mk(y1)], MethodConfig("sea", 0.5), seed=0)
+        net = MLP((np.zeros((2, 1, 1)),), (np.array([[y0], [y1]]),))
+        return EnsembleModel(net, MethodConfig("sea", 0.5), seed=0)
 
     def test_mean_of_equals(self):
         ens = self._two_constant_learners(1.5, 1.5)
@@ -292,11 +292,8 @@ class TestDispatch:
 
 class TestTrainEpoch:
     def test_two_linear_learners_hand_update(self):
-        learners = [
-            MLP((np.array([[0.5]]),), (np.array([0.1]),)),
-            MLP((np.array([[-0.25]]),), (np.array([0.2]),)),
-        ]
-        ens = EnsembleModel(learners, MethodConfig("sea", 0.5), seed=0)
+        net = MLP((np.array([[[0.5]], [[-0.25]]]),), (np.array([[0.1], [0.2]]),))
+        ens = EnsembleModel(net, MethodConfig("sea", 0.5), seed=0)
         x = np.array([[2.0]])
         t = np.array([[1.0]])
         train_epoch(ens, x, t, alpha=0.1)
@@ -381,10 +378,10 @@ class TestStackedStep:
 
     def test_divergence_names_learner_and_leaves_stack_unchanged(self):
         ds, _ = standardize(synth_regression(40, 0.1, 13))
-        learners = build_ensemble(2, [6, 4], 1, 5, MethodConfig("independent"), seed=17).learners
-        blown = learners[2]
-        learners[2] = MLP(blown.weights[:-1] + (np.full_like(blown.weights[-1], 1e300),), blown.biases)
-        ens = EnsembleModel(learners, MethodConfig("independent"), seed=17)
+        net = build_ensemble(2, [6, 4], 1, 5, MethodConfig("independent"), seed=17).net
+        blown = net.weights[-1].copy()
+        blown[2] = 1e300
+        ens = EnsembleModel(MLP(net.weights[:-1] + (blown,), net.biases), MethodConfig("independent"), seed=17)
         before = [a.copy() for a in ens.net.weights + ens.net.biases]
         with pytest.raises(DivergenceError) as exc:
             train_epoch(ens, ds.features, ds.targets, 0.1)
@@ -418,11 +415,14 @@ class TestStackedStep:
             np.testing.assert_array_equal(a, b)
         assert not all(np.array_equal(a, b) for a, b in zip(ens.net.weights + ens.net.biases, values))
 
-    def test_mismatched_learner_shapes_rejected(self):
-        a = init_mlp(2, [3], 1, 0)
-        b = init_mlp(2, [4], 1, 1)
-        with pytest.raises(ValueError, match="learner 1"):
-            EnsembleModel([a, b], MethodConfig("sea", 0.5), seed=0)
+    def test_single_network_rejected(self):
+        with pytest.raises(ValueError, match="stacked MLP"):
+            EnsembleModel(init_mlp(2, [3], 1, 0), MethodConfig("sea", 0.5), seed=0)
+
+    def test_stack_of_no_learners_rejected(self):
+        net = MLP((np.zeros((0, 3, 2)), np.zeros((0, 1, 3))), (np.zeros((0, 3)), np.zeros((0, 1))))
+        with pytest.raises(ValueError, match="at least one learner"):
+            EnsembleModel(net, MethodConfig("independent"), seed=0)
 
 
 class TestGridStack:
@@ -549,6 +549,27 @@ class TestCheckpoint:
         for ma, mb in zip(ens.learners, restored.learners):
             for wa, wb in zip(ma.weights, mb.weights):
                 np.testing.assert_array_equal(wa, wb)
+
+    def test_taken_ensemble_reloads_at_its_param(self):
+        ds, _ = standardize(synth_regression(40, 0.1, 6))
+        ens = build_ensemble(2, [4], 1, 3, MethodConfig("sea"), seed=11).take([0], [0.5])
+        restored = ensemble_from_json(ensemble_to_json(ens))
+        assert restored.params.tolist() == [0.5]
+        train_epoch(ens, ds.features, ds.targets, 0.05)
+        train_epoch(restored, ds.features, ds.targets, 0.05)
+        for a, b in zip(ens.net.weights + ens.net.biases, restored.net.weights + restored.net.biases):
+            np.testing.assert_array_equal(a, b)
+
+    def test_stack_of_ensembles_refused(self):
+        ens = build_ensemble(2, [4], 1, 3, MethodConfig("sea"), seed=11).take([0, 0], [0.5, 1.0])
+        with pytest.raises(ValueError, match="one ensemble"):
+            ensemble_to_json(ens)
+
+    def test_format_1_rejected(self):
+        doc = json.loads(ensemble_to_json(build_ensemble(2, [4], 1, 3, MethodConfig("sea", 0.5), seed=11)))
+        doc["format"] = "sea-ensemble/1"
+        with pytest.raises(ValueError, match="unsupported checkpoint format"):
+            ensemble_from_json(json.dumps(doc))
 
     @staticmethod
     def bagging_doc() -> dict:

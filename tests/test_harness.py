@@ -99,6 +99,15 @@ class TestConfig:
         assert again == cfg
         assert again.fingerprint() == cfg.fingerprint()
 
+    def test_default_fingerprint_pinned(self):
+        # the "config" block of every sweep.json is this document
+        assert ExperimentConfig().fingerprint() == (
+            '{"alpha": 0.05, "batch_size": null, "dataset_path": null, "epochs": 200, "folds": 5, '
+            '"format": "sea-config/1", "grid": [0.0], "hidden": [10, 10], "m_list": [5], "method": "sea", '
+            '"metric_on_train": false, "name": "experiment", "outdir": "results", "seed": 0, '
+            '"synth": {"n": 400, "noise_sd": 0.1}, "task": "regression", "workers": 1}'
+        )
+
     def test_unknown_key_rejected(self):
         d = small_cfg().to_dict()
         d["bogus"] = 1
@@ -216,7 +225,8 @@ def separate_cell(cfg: ExperimentConfig, param: float, m: int, fold: int) -> Swe
     with np.errstate(over="ignore", invalid="ignore"):
         epoch0 = harness.metric_for_task(ds.task)(predictions_batch(ens, eval_ds.features)[0].mean(axis=0),
                                                   eval_ds.targets)
-    return harness.run_fold(cfg, ens, train, eval_ds, fold, epoch0)
+    (row,) = harness.train_stack(cfg, ens, train, eval_ds, fold, epoch0)
+    return row
 
 
 def row_bits(r: SweepRow) -> tuple:

@@ -332,6 +332,13 @@ class TestCheckpoint:
         for ba, bb in zip(m.biases, back.biases):
             np.testing.assert_array_equal(ba, bb)
 
+    def test_stack_roundtrip(self):
+        m = init_mlp(3, [5, 4], 2, 12)
+        stack = MLP(tuple(np.stack([w, 2 * w]) for w in m.weights), tuple(np.stack([b, b + 1]) for b in m.biases))
+        back = mlp_from_dict(mlp_to_dict(stack))
+        for a, b in zip(stack.weights + stack.biases, back.weights + back.biases):
+            np.testing.assert_array_equal(a, b)
+
     def test_format_tag_checked(self):
         with pytest.raises(ValueError, match="format"):
             mlp_from_dict({"format": "other/9", "layers": []})
