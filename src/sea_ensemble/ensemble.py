@@ -77,7 +77,9 @@ class EnsembleModel:
 
     Ensemble p is learners [p*M, (p+1)*M) and trains at ``params[p]``; one
     ensemble is P = 1 at ``config.param``. Bagging's bootstrap resamples are
-    one (M, n) index array, shared by the P ensembles.
+    one (M, n) index array, shared by the P ensembles. ``work`` is the kernel
+    workspace of :func:`train_epoch` (see :mod:`sea_ensemble.mlp`), one step's
+    arrays of the last (stack, batch rows) shape; no other function uses it.
     """
 
     def __init__(self, net: MLP, config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):
@@ -87,6 +89,7 @@ class EnsembleModel:
         if net.weights[0].shape[0] == 0:
             raise ValueError("ensemble needs at least one learner")
         self.net = net
+        self.work: dict = {}
         self.config = config
         self.params = np.array([config.param])
         self.seed = seed
@@ -117,6 +120,7 @@ class EnsembleModel:
         points = np.asarray(points, dtype=np.intp)
         rows = (points[:, None] * self.m + np.arange(self.m)).ravel()
         other = copy.copy(self)
+        other.work = {}
         other.net = copy.copy(self.net)  # rows of a checked stack need no second check
         other.net.weights = tuple(w[rows] for w in self.net.weights)
         other.net.biases = tuple(b[rows] for b in self.net.biases)
@@ -263,7 +267,8 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
     by the number of times its bootstrap resample drew it, so its gradient is
     sum_r c_r (f_r - t_r) / n. If any learner's update is non-finite, the
     :class:`DivergenceError` flags every such learner and the stack is left
-    unchanged.
+    unchanged. The forward and backward arrays go to ``ens.work``, where the
+    next step of the same shape reuses them.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -279,7 +284,7 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
 
     # Overflow in a diverging run surfaces as DivergenceError at the update.
     with np.errstate(over="ignore", invalid="ignore"):
-        preds, trace = predictions_batch(ens, x)
+        preds, trace = forward_batch(ens.net, x, ens.work)
         deltas = output_gradients(preds, t, ens.config, ens.params)
         if ens.bootstrap is not None:
             # row r of learner i counts how often resample i drew r
@@ -287,7 +292,7 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
             offsets = n * np.arange(m)[:, None]
             counts = np.bincount((ens.bootstrap + offsets).ravel(), minlength=m * n)
             deltas *= np.tile(counts.reshape(m, n), (len(ens.params), 1))[:, :, None]
-        grads = backward_batch(ens.net, trace, deltas / n)
+        grads = backward_batch(ens.net, trace, deltas / n, ens.work)
     sgd_step(ens.net, grads, alpha)
 
 

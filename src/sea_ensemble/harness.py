@@ -73,13 +73,16 @@ BOUNDARY_MARGIN = 0.05   # required improvement over the plateau
 MIN_BOUNDARY_POINTS = 5  # distinct grid points the boundary estimator needs
 
 # Bytes of one layer's activations over a chunk of a column's grid points.
-# Stacking pays where a step is mostly per-call overhead: at M=20 and
-# 10-row batches a chunk holds 4 points. Past about 100 KB, a step's
-# temporaries cross glibc's 128 KB mmap threshold and are faulted in again
-# at every step (15 learners x 200 rows on a 2-vCPU x86 VM: 181 page faults
-# and ~0.2 ms of system time a step), so full-batch columns on 200 rows
-# stay unstacked.
-STACK_BYTES = 64 * 1024
+# The training step keeps its large arrays in a workspace that a column's
+# chunks hand on (see mlp), so this bounds memory, not allocator traffic.
+# 192 KB stacks 4 grid points at M=3, 2 at M=5 and 1 at M=10 on 200
+# full-batch rows, and a whole 11-point column at M=20 and 10-row batches.
+# On a 2-vCPU x86 VM it took a `boundary` sweep from about 48,000 minor
+# page faults to about 1,900 and its median wall time from 0.95 to 0.65 s
+# (3 runs of 10 s each); peak RSS rose from 41.0 to 41.8 MB on `boundary`
+# and from 42.5 to 44.0 MB on `minibatch`. 128 KB left `boundary` at
+# 0.77 s; 256 KB was no faster and used more memory.
+STACK_BYTES = 192 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,8 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     and the untrained ensemble's metric. The grid points then train as P
     copies of the initial learners on one (P*M, fan_out, fan_in) stack, in
     :func:`train_stack`, in chunks of at most ``STACK_BYTES`` per activation.
+    The chunks share one kernel workspace, so a column allocates its step
+    buffers once per shape, not once per chunk.
     """
     train_idx = split.train_indices(fold)
     test_idx = split.test_indices(fold)
@@ -265,9 +270,12 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     n_rows = epoch_batches(cfg, train.n_samples)[0].stop
     chunk = max(1, STACK_BYTES // (8 * m * max(cfg.hidden + (train.n_outputs,)) * n_rows))
     rows = []
+    work = {}  # the chunks train one after another, so each takes over the last one's buffers
     for start in range(0, len(cfg.grid), chunk):
         grid = cfg.grid[start : start + chunk]
-        rows += train_stack(cfg, untrained.take([0] * len(grid), grid), train, eval_ds, fold, epoch0)
+        stack = untrained.take([0] * len(grid), grid)
+        stack.work = work
+        rows += train_stack(cfg, stack, train, eval_ds, fold, epoch0)
     return rows
 
 

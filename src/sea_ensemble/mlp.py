@@ -15,6 +15,17 @@ then run in place on the matmul's result. The public shapes are
 sample-major: outputs and trace entries past the input are
 ``swapaxes`` views, (N, O) and (N, H), or (M, N, O) and (M, N, H) for a
 stack, of the feature-major arrays.
+
+Workspace: :func:`forward_batch` and :func:`backward_batch` write every
+(..., width, N) array they make, the activations and the backward ``g`` and
+``d``, into a ``work`` dict with one array per (kind, layer) key. An array is
+reused while its shape holds and replaced when it changes, so a workspace
+holds one step's arrays, of the last shape it saw. By default each call gets
+a fresh dict and allocates as a plain numpy call would; a caller that passes
+its own, as a training loop does, gets results that alias it and are
+overwritten by its next call. Reuse keeps large arrays off the allocator:
+past glibc's mmap threshold (128 KB), a fresh array is mapped and faulted in
+again at every step.
 """
 
 from __future__ import annotations
@@ -97,14 +108,24 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def forward_batch(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _buffer(work: dict, key: tuple, shape: tuple) -> np.ndarray:
+    """``work[key]`` when it has ``shape``, else a new array that replaces it."""
+    buf = work.get(key)
+    if buf is None or buf.shape != shape:
+        buf = work[key] = np.empty(shape)
+    return buf
+
+
+def forward_batch(m: MLP, x: np.ndarray, work: dict | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward an (N, D) batch; returns (N, O) outputs and the activation trace.
 
     The trace is the list of layer inputs [a_0 .. a_{L-1}] plus the final
     output, i.e. acts[l] feeds layer l. Hidden activations are sigmoid, the
     output layer is linear. A stack of M networks shares the input and
     returns (M, N, O) outputs; its trace entries past the input are (M, N, H).
+    Outputs and trace past the input live in ``work`` (default: a fresh one).
     """
+    work = {} if work is None else work
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.d_in:
         raise ValueError(f"expected (N, {m.d_in}) input, got {x.shape}")
@@ -114,7 +135,7 @@ def forward_batch(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     a = np.ascontiguousarray(x.T)
     last = m.n_layers - 1
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        a = np.matmul(w, a)  # (..., fan_out, N)
+        a = np.matmul(w, a, out=_buffer(work, ("a", l), w.shape[:-1] + a.shape[-1:]))  # (..., fan_out, N)
         a += b[..., None]
         if l < last:
             _sigmoid(a, out=a)
@@ -123,14 +144,16 @@ def forward_batch(m: MLP, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def backward_batch(
-    m: MLP, trace: list[np.ndarray], delta_out: np.ndarray
+    m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work: dict | None = None
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Backpropagate (N, O) output-space gradients; returns (d_weights, d_biases) summed over the batch.
 
     ``trace`` must come from :func:`forward_batch` on the same parameters;
     ``delta_out`` is d(loss)/d(output) per sample, (M, N, O) for a stack.
-    The MLP is not mutated.
+    The propagated gradients live in ``work`` (default: a fresh one); the
+    returned sums and the MLP do not.
     """
+    work = {} if work is None else work
     delta_out = np.asarray(delta_out, dtype=np.float64)
     n_layers = m.n_layers
     if len(trace) != n_layers + 1:
@@ -142,14 +165,16 @@ def backward_batch(
     d_weights: list[np.ndarray | None] = [None] * n_layers
     d_biases: list[np.ndarray | None] = [None] * n_layers
     # feature-major (..., O, N), the same bits whatever the caller's layout
-    g = np.ascontiguousarray(np.swapaxes(delta_out, -1, -2))
+    g_out = np.swapaxes(delta_out, -1, -2)
+    g = _buffer(work, ("g", n_layers - 1), g_out.shape)
+    np.copyto(g, g_out)
     for l in range(n_layers - 1, -1, -1):
         d_weights[l] = np.matmul(g, trace[l])
         d_biases[l] = g.sum(axis=-1)
         if l > 0:
             a = np.swapaxes(trace[l], -1, -2)  # sigmoid output feeding layer l
-            g = np.matmul(np.swapaxes(m.weights[l], -1, -2), g)
-            d = 1.0 - a
+            g = np.matmul(np.swapaxes(m.weights[l], -1, -2), g, out=_buffer(work, ("g", l - 1), a.shape))
+            d = np.subtract(1.0, a, out=_buffer(work, ("d", l), a.shape))
             d *= a
             g *= d
     return tuple(d_weights), tuple(d_biases)

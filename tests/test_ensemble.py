@@ -471,6 +471,97 @@ class TestGridStack:
         assert exc.value.mask.any() and not exc.value.mask[:3].any() and not exc.value.mask[6:].any()
 
 
+def allocating_step(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) -> None:
+    """train_epoch's step on a stack through the public kernels, which allocate every array."""
+    preds, trace = forward_batch(ens.net, x)
+    deltas = output_gradients(preds, t, ens.config, ens.params)
+    if ens.bootstrap is not None:
+        counts = np.stack([np.bincount(idx, minlength=len(x)) for idx in ens.bootstrap])
+        deltas *= np.tile(counts, (len(ens.params), 1))[:, :, None]
+    sgd_step(ens.net, backward_batch(ens.net, trace, deltas / len(x)), alpha)
+
+
+class TestWorkspace:
+    """train_epoch keeps its kernel arrays in ``ens.work``: one per (kind, layer), reused while the shape holds."""
+
+    GRID = [0.0, 0.3, 0.9]
+
+    @staticmethod
+    def stack(method: str, n_train: int = 40) -> EnsembleModel:
+        base = build_ensemble(2, [6, 4], 1, 4, MethodConfig(method), seed=17, n_train=n_train)
+        return base.take([0] * len(TestWorkspace.GRID), TestWorkspace.GRID)
+
+    @staticmethod
+    def shapes(ens: EnsembleModel) -> dict:
+        return {key: a.shape for key, a in ens.work.items()}
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_matches_allocating_kernels(self, method, rows):
+        # two epochs; 7-row batches over 40 rows end on a 5-row batch, so the shape changes twice an epoch
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        batches = [slice(0, 40)] if rows is None else [slice(s, min(s + rows, 40)) for s in range(0, 40, rows)]
+        kept, fresh = self.stack(method, 40 if rows is None else 5), self.stack(method, 40 if rows is None else 5)
+        for b in batches * 2:
+            train_epoch(kept, ds.features[b], ds.targets[b], 0.1)
+            allocating_step(fresh, ds.features[b], ds.targets[b], 0.1)
+        assert kept.work and not fresh.work
+        for a, b in zip(kept.net.weights + kept.net.biases, fresh.net.weights + fresh.net.biases):
+            np.testing.assert_array_equal(a, b)
+
+    def test_second_step_reuses_buffers(self):
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        ens = self.stack("sea")
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        first = dict(ens.work)
+        # activations of 3 layers, g of 3 and d of the 2 hidden outputs, each (P*M, width, N)
+        assert len(first) == 8
+        assert {(s[0], s[-1]) for s in self.shapes(ens).values()} == {(12, 40)}
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        assert ens.work.keys() == first.keys()
+        assert all(ens.work[key] is a for key, a in first.items())
+
+    def test_short_batch_replaces_buffers(self):
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        ens = self.stack("ncl")
+        train_epoch(ens, ds.features[:7], ds.targets[:7], 0.1)
+        seven = dict(ens.work)
+        train_epoch(ens, ds.features[35:], ds.targets[35:], 0.1)
+        assert ens.work.keys() == seven.keys()
+        assert {s[-1] for s in self.shapes(ens).values()} == {5}
+        assert not any(ens.work[key] is a for key, a in seven.items())
+        train_epoch(ens, ds.features[:7], ds.targets[:7], 0.1)
+        assert len(ens.work) == len(seven) and {s[-1] for s in self.shapes(ens).values()} == {7}
+
+    def test_take_gives_its_own(self):
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        ens = self.stack("sea")
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        part = ens.take([0, 2])
+        assert part.work == {} and ens.work
+        train_epoch(part, ds.features, ds.targets, 0.1)
+        assert {s[0] for s in self.shapes(part).values()} == {8}
+        assert {s[0] for s in self.shapes(ens).values()} == {12}
+
+    def test_results_do_not_alias_it(self):
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        ens = self.stack("nclstar")
+        before, before_trace = predictions_batch(ens, ds.features)
+        kept = before.copy()
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        after, after_trace = predictions_batch(ens, ds.features)
+        grads = backward_batch(ens.net, after_trace, np.ones_like(after))
+        work = list(ens.work.values())
+        assert work
+        for a in [before, *before_trace[1:]]:
+            for b in [after, *after_trace[1:], *work]:
+                assert not np.shares_memory(a, b)
+        for a in [after, *after_trace[1:], *grads[0], *grads[1]]:
+            assert not any(np.shares_memory(a, b) for b in work)
+        np.testing.assert_array_equal(before, kept)
+        assert not np.array_equal(before, after)
+
+
 class TestBagging:
     def test_bootstrap_shapes_and_determinism(self):
         a = bootstrap_indices(17, 4, 5)

@@ -328,6 +328,45 @@ class TestColumn:
         assert stack == ([8.0, 0.5, 0.0] if in_front else [0.0, 0.5, 8.0])
         assert steps[done] == [p for p in stack if p != 8.0]  # the step retaken without it
 
+    def test_workspace_replaced_when_point_leaves(self, monkeypatch):
+        # the run of test_point_diverging_mid_epoch: 9 learners until step 29 * 6 + 4, then 6
+        shapes = []
+        real_step = harness.train_epoch
+
+        def recording(ens, x, t, alpha):
+            real_step(ens, x, t, alpha)
+            shapes.append((id(ens.work), sorted(a.shape for a in ens.work.values())))
+
+        monkeypatch.setattr(harness, "train_epoch", recording)
+        cfg = small_cfg(grid=(0.0, 0.5, 8.0), epochs=40, alpha=0.3, batch_size=7)
+        ds = load_dataset(cfg)
+        harness.run_column(cfg, 3, ds, fold_split_for(cfg, ds.n_samples), 1)
+        done = 29 * 6 + 4
+        assert len({w for w, _ in shapes[:done]}) == 1 and len({w for w, _ in shapes[done:]}) == 1
+        assert shapes[done - 1][0] != shapes[done][0]
+        for step, (_, arrays) in enumerate(shapes):
+            # hidden (5,): two activations, two g and one d, each (learners, width, rows)
+            assert len(arrays) == 5
+            assert {s[0] for s in arrays} == {9 if step < done else 6}
+            assert {s[-1] for s in arrays} == {5 if step % 6 == 5 else 7}  # 40 rows: the 6th batch has 5
+
+    def test_chunks_hand_on_one_workspace(self, monkeypatch):
+        monkeypatch.setattr(harness, "STACK_BYTES", 2 * 3 * 5 * 40 * 8)  # two grid points a chunk
+        works = []
+        real = harness.train_stack
+
+        def recording(cfg, ens, *args):
+            works.append((ens.work, len(ens.params)))
+            return real(cfg, ens, *args)
+
+        monkeypatch.setattr(harness, "train_stack", recording)
+        cfg = small_cfg(method="ncl", grid=(0.0, 0.25, 0.5), epochs=3)
+        ds = load_dataset(cfg)
+        harness.run_column(cfg, 3, ds, fold_split_for(cfg, ds.n_samples), 1)
+        assert [p for _, p in works] == [2, 1]
+        assert works[0][0] is works[1][0]
+        assert {a.shape[0] for a in works[0][0].values()} == {3}  # the last chunk's learners
+
 
 class TestSweep:
     def test_row_count(self):
