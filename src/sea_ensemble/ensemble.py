@@ -321,6 +321,9 @@ def ensemble_from_json(text: str) -> EnsembleModel:
     doc = json.loads(text)
     if doc.get("format") != "sea-ensemble/2":
         raise ValueError(f"unsupported checkpoint format: {doc.get('format')!r}")
+    missing = [key for key in ("net", "method", "param", "seed", "bootstrap") if key not in doc]
+    if missing:
+        raise ValueError(f"checkpoint lacks {', '.join(missing)}")
     # no dtype: fractional indices stay floats and are rejected, not truncated
     bootstrap = None if doc["bootstrap"] is None else np.asarray(doc["bootstrap"])
     return EnsembleModel(

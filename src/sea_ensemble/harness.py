@@ -205,6 +205,27 @@ def metric_for_task(task: str):
     return rmse if task == REGRESSION else acc
 
 
+def ensemble_metric(preds: np.ndarray, targets: np.ndarray, task: str) -> float:
+    """The task metric of the mean of an (M, N, O) prediction stack; NaN when that mean is rounding noise.
+
+    Summing M float64 values of magnitude at most A = max|f| and dividing by
+    M leaves the mean with an absolute rounding error of at most about
+    (M-1) * A * eps/2 (eps = 2.2e-16, the float64 epsilon), so the mean's RMS
+    error against the targets (the regression metric itself) is off by less
+    than M * eps * A / 2. The mean counts as information only when that RMS
+    error is above M * eps * A: then at least half of it is real error, not
+    rounding. Below that line the mean can be nothing but the residue of
+    cancelling huge values. Trained predictions are O(1), which puts the
+    line near 1e-15; a stack blown up to 1e140 with every value still finite
+    falls below it. A NaN marks the cell as diverged, as a non-finite metric
+    does.
+    """
+    fbar = preds.mean(axis=0)
+    if not rmse(fbar, targets) > preds.shape[0] * np.finfo(np.float64).eps * np.abs(preds).max():
+        return float("nan")
+    return metric_for_task(task)(fbar, targets)
+
+
 def lower_is_better(task: str) -> bool:
     return task == REGRESSION
 
@@ -266,7 +287,7 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     )
     with np.errstate(over="ignore", invalid="ignore"):
         preds0, _ = predictions_batch(untrained, eval_ds.features)
-        epoch0 = metric_for_task(ds.task)(preds0.mean(axis=0), eval_ds.targets)
+        epoch0 = ensemble_metric(preds0, eval_ds.targets, ds.task)
     n_rows = epoch_batches(cfg, train.n_samples)[0].stop
     chunk = max(1, STACK_BYTES // (8 * m * max(cfg.hidden + (train.n_outputs,)) * n_rows))
     rows = []
@@ -291,10 +312,11 @@ def train_stack(
 
     An ensemble whose update turns non-finite leaves the stack, flagged (metric
     NaN) with its completed epochs, and the others retake the step without it,
-    so sweeps past the theoretical boundary run to completion. Each row is
+    so sweeps past the theoretical boundary run to completion. An ensemble
+    that finishes with a non-finite or rounding-noise metric
+    (:func:`ensemble_metric`) is flagged with all its epochs. Each row is
     bitwise what its ensemble trained alone gives, and carries ``epoch0``.
     """
-    metric = metric_for_task(eval_ds.task)
     params = [float(p) for p in ens.params]
     live = list(range(len(params)))  # the ensembles still on the stack, in stack order
     epochs = {}  # the completed epochs of the ensembles that left the stack
@@ -313,8 +335,8 @@ def train_stack(
                         ens = ens.take(np.flatnonzero(~out)) if live else ens
         for j, point in enumerate(live):
             preds, _ = predictions_batch(ens.take([j]), eval_ds.features)
-            value = metric(preds.mean(axis=0), eval_ds.targets)
-            if np.isfinite(value):  # parameters can stay finite while the predictions overflow
+            value = ensemble_metric(preds, eval_ds.targets, eval_ds.task)
+            if np.isfinite(value):  # parameters can stay finite while the predictions blow up
                 rows[point] = SweepRow(ens.config.method, params[point], ens.m, fold, value,
                                        theory.empirical_std(preds), cfg.epochs, False, epoch0)
     nan = float("nan")

@@ -119,14 +119,15 @@ class TestSweep:
 
 
     def test_worker_count_keeps_bytes_with_diverging_rows(self, tmp_path):
-        # nclstar past its boundary at 7-row batches: 6 of the 12 rows diverge mid-sweep
+        # nclstar past its boundary at 7-row batches: 6 of the 12 rows diverge mid-sweep,
+        # and the 2 at k=2 end as rounding noise (predictions ~1e140, every value finite)
         args = ["sweep", "--method", "nclstar", "--grid", "0:5:1", "--m", "5", "--batch-size", "7",
                 "--alpha", "0.3", "--synth-n", "200", "--epochs", "20", "--folds", "2", "--seed", "1"]
         assert main(args + ["--workers", "1", "--outdir", str(tmp_path / "w1")]) == EXIT_OK
         assert main(args + ["--workers", "2", "--outdir", str(tmp_path / "w2")]) == EXIT_OK
         csv = (tmp_path / "w1" / "sweep.csv").read_bytes()
         assert csv == (tmp_path / "w2" / "sweep.csv").read_bytes()
-        assert sum(line.endswith(b",1") for line in csv.splitlines()) == 6
+        assert sum(line.endswith(b",1") for line in csv.splitlines()) == 8
 
 
 class TestTrain:

@@ -656,6 +656,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="one ensemble"):
             ensemble_to_json(ens)
 
+    @pytest.mark.parametrize("field", ["net", "method", "param", "seed", "bootstrap"])
+    def test_missing_field_named(self, field):
+        doc = json.loads(ensemble_to_json(build_ensemble(2, [4], 1, 3, MethodConfig("sea", 0.5), seed=11)))
+        del doc[field]
+        with pytest.raises(ValueError, match=f"lacks {field}$"):
+            ensemble_from_json(json.dumps(doc))
+
     def test_format_1_rejected(self):
         doc = json.loads(ensemble_to_json(build_ensemble(2, [4], 1, 3, MethodConfig("sea", 0.5), seed=11)))
         doc["format"] = "sea-ensemble/1"

@@ -84,6 +84,50 @@ class TestMetrics:
         assert acc(preds, np.array([[1.0, 0.0]])) == 1.0
 
 
+class TestEnsembleMetric:
+    """The metric of a stack's mean, or NaN when the mean is only rounding noise."""
+
+    def test_trained_scale_is_the_metric(self):
+        rng = np.random.default_rng(0)
+        preds, t = rng.normal(size=(5, 20, 1)), rng.normal(size=(20, 1))
+        assert harness.ensemble_metric(preds, t, "regression") == rmse(preds.mean(axis=0), t)
+
+    def test_cancelled_huge_predictions_are_noise(self):
+        # the mean of +-1e140 values that cancel is what rounding leaves over
+        rng = np.random.default_rng(1)
+        big = rng.normal(size=(4, 20, 1)) * 1e140
+        preds = np.concatenate([big, -big.sum(axis=0, keepdims=True)])
+        t = rng.normal(size=(20, 1))
+        assert 0 < rmse(preds.mean(axis=0), t) < 5 * np.finfo(float).eps * np.abs(preds).max()
+        assert np.isnan(harness.ensemble_metric(preds, t, "regression"))
+
+    def test_huge_but_resolved_error_is_kept(self):
+        # predictions of 1e20 whose mean misses by ~1e20: rounding is far below the error
+        preds = np.full((5, 4, 1), 1e20)
+        t = np.zeros((4, 1))
+        assert harness.ensemble_metric(preds, t, "regression") == 1e20
+
+    def test_zero_accuracy_is_a_result(self):
+        preds = np.tile(np.array([[0.9, 0.1]]), (3, 4, 1))
+        t = np.tile(np.array([[0.0, 1.0]]), (4, 1))
+        assert harness.ensemble_metric(preds, t, CLASSIFICATION) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_is_nan(self, bad):
+        preds = np.zeros((3, 4, 1))
+        preds[1, 2, 0] = bad
+        assert np.isnan(harness.ensemble_metric(preds, np.ones((4, 1)), "regression"))
+
+    def test_rounding_noise_rows_flagged(self):
+        # nclstar k=2 at 7-row batches ends with predictions ~1e140, every value finite;
+        # its metrics were 1.7e124 and 6.1e125, written with diverged=0
+        cfg = ExperimentConfig(synth=SynthSpec(n=200), method="nclstar", grid=(2.0,), m_list=(5,), folds=2,
+                               epochs=20, alpha=0.3, batch_size=7, seed=1)
+        rows = run_sweep(cfg).rows
+        assert [(r.fold, r.diverged, r.epochs) for r in rows] == [(0, True, 20), (1, True, 20)]
+        assert all(np.isnan(r.metric) and np.isnan(r.std) for r in rows)
+
+
 class TestConfig:
     def test_validation_grid_sorted(self):
         with pytest.raises(ValueError, match="sorted"):
