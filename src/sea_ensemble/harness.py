@@ -77,11 +77,12 @@ MIN_BOUNDARY_POINTS = 5  # distinct grid points the boundary estimator needs
 # chunks hand on (see mlp), so this bounds memory, not allocator traffic.
 # 192 KB stacks 4 grid points at M=3, 2 at M=5 and 1 at M=10 on 200
 # full-batch rows, and a whole 11-point column at M=20 and 10-row batches.
-# On a 2-vCPU x86 VM it took a `boundary` sweep from about 48,000 minor
-# page faults to about 1,900 and its median wall time from 0.95 to 0.65 s
-# (3 runs of 10 s each); peak RSS rose from 41.0 to 41.8 MB on `boundary`
-# and from 42.5 to 44.0 MB on `minibatch`. 128 KB left `boundary` at
-# 0.77 s; 256 KB was no faster and used more memory.
+# On a 2-vCPU x86 VM, against 64 KB without the workspace (10 runs of 30 s
+# each), it took a `boundary` sweep from 42,000-49,000 minor page faults to
+# 1,400-1,950 and its median wall time from 0.82 to 0.60 s; peak RSS rose
+# from 42.0 to 42.9 MB on `boundary` and from 43.0 to 44.6 MB on
+# `minibatch`. In shorter runs, 128 KB left `boundary` at 0.77 s against
+# 0.65 s at 192 KB, and 256 KB was no faster and used more memory.
 STACK_BYTES = 192 * 1024
 
 
