@@ -24,12 +24,12 @@ method's convention and is what training uses. All five methods share the
 one training step, :func:`train_epoch`. Cross-learner gradient terms are
 dropped throughout: learner i's parameters only feel d(e_i)/d(f_i).
 
-The M learners live in one stacked MLP, one (M, fan_out, fan_in) weight and
-one (M, fan_out) bias array per layer, so a training step is one batched
-forward, backward and update with no loop over learners. A stack may hold P
-ensembles, one per parameter value, trained by the same step. The stack is
-the only form an ensemble has: it is built, checkpointed and reloaded as
-one MLP.
+The M learners live in one stacked MLP, whose (M, n_params) parameter array
+holds an (M, fan_out, fan_in) weight and an (M, fan_out) bias per layer, so a
+training step is one batched forward, backward and update with no loop over
+learners. A stack may hold P ensembles, one per parameter value, trained by
+the same step. The stack is the only form an ensemble has: it is built,
+checkpointed and reloaded as one MLP.
 """
 
 from __future__ import annotations
@@ -121,23 +121,19 @@ class EnsembleModel:
         rows = (points[:, None] * self.m + np.arange(self.m)).ravel()
         other = copy.copy(self)
         other.work = {}
-        other.net = copy.copy(self.net)  # rows of a checked stack need no second check
-        other.net.weights = tuple(w[rows] for w in self.net.weights)
-        other.net.biases = tuple(b[rows] for b in self.net.biases)
+        # one fancy index copies the rows; rows of a checked stack need no second check
+        other.net = MLP.from_theta(self.net.theta[rows], self.net.shapes)
         other.params = self.params[points] if params is None else np.array(params, dtype=np.float64)
         return other
 
     @property
     def learners(self) -> list[MLP]:
         """Learner i as a single-network MLP whose arrays are views into the stack, for inspection."""
-        return [
-            MLP(tuple(w[i] for w in self.net.weights), tuple(b[i] for b in self.net.biases))
-            for i in range(self.net.weights[0].shape[0])
-        ]
+        return [MLP.from_theta(row, self.net.shapes) for row in self.net.theta]
 
     @property
     def m(self) -> int:
-        return self.net.weights[0].shape[0] // len(self.params)
+        return len(self.net.theta) // len(self.params)
 
 
 def warn_outside_sea_interval(k: float, m: int) -> None:
@@ -164,8 +160,7 @@ def build_ensemble(
     resamples (requires ``n_train``).
     """
     nets = [init_mlp(d_in, hidden, d_out, derive_seed(seed, "learner", i)) for i in range(m)]
-    net = MLP(tuple(np.stack(ws) for ws in zip(*(n.weights for n in nets))),
-              tuple(np.stack(bs) for bs in zip(*(n.biases for n in nets))))
+    net = MLP.from_theta(np.stack([n.theta for n in nets]), nets[0].shapes)
     bootstrap = None
     if config.method == "bagging":
         if n_train is None:

@@ -143,6 +143,8 @@ class ExperimentConfig:
             raise ValueError("folds must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.task not in (REGRESSION, CLASSIFICATION):

@@ -9,6 +9,17 @@ Every kernel also takes M same-shape networks stacked on a leading learner
 axis, so an ensemble trains with one batched matmul per layer, not M calls;
 each learner's slice is bitwise what a single-network call computes.
 
+Parameter layout: a network's parameters live in one flat array ``theta``,
+(n_params,) for one network and (M, n_params) for a stack, laid out per
+learner as W_0, b_0, W_1, b_1, ... with each W_l row-major (fan_out, fan_in).
+``weights`` and ``biases`` are views into it, and :func:`backward_batch`
+returns its gradient in the same layout, so :func:`sgd_step` updates every
+layer of every learner in one pass. The MLP owns ``theta``: construction
+copies the given layers into a new one, and each step makes a fresh one and
+rebinds the views, so arrays taken from an MLP keep their values.
+:meth:`MLP.from_theta` wraps an existing array without a copy, which is how
+an ensemble's per-learner views and row copies are made.
+
 Memory layout: activations are computed feature-major, (..., fan_out, N)
 with the batch axis contiguous, as ``w @ a``; the bias add and the sigmoid
 then run in place on the matmul's result. The public shapes are
@@ -49,26 +60,40 @@ class MLP:
     """Layered affine maps; weights[l] is (fan_out, fan_in), biases[l] is (fan_out,).
 
     A stack of M networks is (M, fan_out, fan_in) and (M, fan_out) per layer.
-    Construction checks the shapes and values; :func:`sgd_step` then replaces
-    the layer tuples with new arrays and never writes into the old ones.
+    Construction checks the shapes and values and packs the layers into a new
+    ``theta`` (see the module docstring), of which ``weights`` and ``biases``
+    become views; :func:`sgd_step` then replaces ``theta`` and the views with
+    new arrays and never writes into the old ones.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        self.weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        self.biases = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
-        if len(self.weights) != len(self.biases) or not self.weights:
+        weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
+        biases = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
+        if len(weights) != len(biases) or not weights:
             raise ValueError("need matching, nonempty weight and bias lists")
-        stack = self.weights[0].shape[:-2]
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+        stack = weights[0].shape[:-2]
+        for l, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim not in (2, 3) or w.shape[:-2] != stack or b.shape != w.shape[:-1]:
                 raise ValueError(f"layer {l}: weight {w.shape} and bias {b.shape} mismatch")
-            if l > 0 and w.shape[-1] != self.weights[l - 1].shape[-2]:
+            if l > 0 and w.shape[-1] != weights[l - 1].shape[-2]:
                 raise ValueError(f"layer {l}: fan_in {w.shape[-1]} does not chain")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {l}: non-finite parameters")
+        self.shapes = tuple(w.shape[-2:] for w in weights)  # each layer's (fan_out, fan_in)
+        self.theta = _pack(weights, biases)
+        self.weights, self.biases = _layer_views(self.theta, self.shapes)
+        finite = np.isfinite(self.theta).reshape(-1, self.theta.shape[-1]).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"layer {_first_bad_layer(finite, self.shapes)}: non-finite parameters")
+
+    @classmethod
+    def from_theta(cls, theta: np.ndarray, shapes: tuple[tuple[int, int], ...]) -> MLP:
+        """The MLP over ``theta`` itself, with layers of (fan_out, fan_in) ``shapes``: no copy, no check."""
+        m = object.__new__(cls)
+        m.shapes, m.theta = shapes, theta
+        m.weights, m.biases = _layer_views(theta, shapes)
+        return m
 
     @property
     def n_layers(self) -> int:
@@ -81,6 +106,43 @@ class MLP:
     @property
     def d_out(self) -> int:
         return self.weights[-1].shape[-2]
+
+
+def _pack(weights, biases) -> np.ndarray:
+    """A new ``theta`` holding per-layer (weight, bias) arrays of matching stacks, in the module's layout."""
+    parts = []
+    for w, b in zip(weights, biases):
+        w = np.asarray(w, dtype=np.float64)
+        parts += [w.reshape(w.shape[:-2] + (w.shape[-2] * w.shape[-1],)), np.asarray(b, dtype=np.float64)]
+    return np.concatenate(parts, axis=-1)
+
+
+def _layer_views(theta: np.ndarray, shapes) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Each layer's weight and bias as views into ``theta`` (..., n_params)."""
+    lead = theta.shape[:-1]
+    weights, biases = [], []
+    start = 0
+    for fan_out, fan_in in shapes:
+        stop = start + fan_out * fan_in
+        weights.append(theta[..., start:stop].reshape(lead + (fan_out, fan_in)))
+        biases.append(theta[..., stop : stop + fan_out])
+        start = stop + fan_out
+    return tuple(weights), tuple(biases)
+
+
+def _first_bad_layer(finite: np.ndarray, shapes) -> int:
+    """The layer holding the first False of one network's (n_params,) finiteness flags."""
+    ends = np.cumsum([fan_out * (fan_in + 1) for fan_out, fan_in in shapes])
+    return int(np.searchsorted(ends, np.argmin(finite), side="right"))
+
+
+class Gradients(tuple):
+    """:func:`backward_batch`'s (d_weights, d_biases): per-layer views into ``theta``, laid out as ``MLP.theta``."""
+
+    def __new__(cls, theta: np.ndarray, shapes: tuple[tuple[int, int], ...]):
+        grads = super().__new__(cls, _layer_views(theta, shapes))
+        grads.theta, grads.shapes = theta, shapes
+        return grads
 
 
 def init_mlp(d_in: int, hidden: list[int], d_out: int, seed: int) -> MLP:
@@ -143,15 +205,17 @@ def forward_batch(m: MLP, x: np.ndarray, work: dict | None = None) -> tuple[np.n
     return acts[-1], acts
 
 
-def backward_batch(
-    m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work: dict | None = None
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work: dict | None = None) -> Gradients:
     """Backpropagate (N, O) output-space gradients; returns (d_weights, d_biases) summed over the batch.
 
     ``trace`` must come from :func:`forward_batch` on the same parameters;
     ``delta_out`` is d(loss)/d(output) per sample, (M, N, O) for a stack.
-    The propagated gradients live in ``work`` (default: a fresh one); the
-    returned sums and the MLP do not.
+    Every dW and db is written straight into one new gradient array laid out
+    as ``m.theta``, and the returned pair is per-layer views into it, which
+    :func:`sgd_step` takes as one array. The propagated gradients live in
+    ``work`` (default: a fresh one); the returned sums and the MLP do not.
+    A layer with one output unit propagates by a broadcast product, which
+    gives the bits of its inner-dimension-1 matmul without its overhead.
     """
     work = {} if work is None else work
     delta_out = np.asarray(delta_out, dtype=np.float64)
@@ -162,56 +226,58 @@ def backward_batch(
         raise ValueError(
             f"delta_out shape {delta_out.shape} does not match output {trace[-1].shape}"
         )
-    d_weights: list[np.ndarray | None] = [None] * n_layers
-    d_biases: list[np.ndarray | None] = [None] * n_layers
+    grads = Gradients(np.empty(m.theta.shape), m.shapes)
+    d_weights, d_biases = grads
     # feature-major (..., O, N), the same bits whatever the caller's layout
-    g_out = np.swapaxes(delta_out, -1, -2)
+    g_out = delta_out.swapaxes(-1, -2)
     g = _buffer(work, ("g", n_layers - 1), g_out.shape)
     np.copyto(g, g_out)
     for l in range(n_layers - 1, -1, -1):
-        d_weights[l] = np.matmul(g, trace[l])
-        d_biases[l] = g.sum(axis=-1)
+        np.matmul(g, trace[l], out=d_weights[l])
+        np.add.reduce(g, axis=-1, out=d_biases[l])
         if l > 0:
-            a = np.swapaxes(trace[l], -1, -2)  # sigmoid output feeding layer l
-            g = np.matmul(np.swapaxes(m.weights[l], -1, -2), g, out=_buffer(work, ("g", l - 1), a.shape))
+            a = trace[l].swapaxes(-1, -2)  # sigmoid output feeding layer l
+            w_t = m.weights[l].swapaxes(-1, -2)
+            propagate = np.multiply if w_t.shape[-1] == 1 else np.matmul
+            g = propagate(w_t, g, out=_buffer(work, ("g", l - 1), a.shape))
             d = np.subtract(1.0, a, out=_buffer(work, ("d", l), a.shape))
             d *= a
             g *= d
-    return tuple(d_weights), tuple(d_biases)
+    return grads
 
 
-def sgd_step(
-    m: MLP, grads: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]], alpha: float
-) -> None:
-    """One step theta <- theta - alpha * grad on ``m``, from :func:`backward_batch`'s pair.
+def sgd_step(m: MLP, grads: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]], alpha: float) -> None:
+    """One step theta <- theta - alpha * grad on ``m``, from :func:`backward_batch`'s pair or a hand-built one.
 
-    Each layer gets a new array and ``m`` is rebound to them; the old arrays
-    are not written into, so views and copies taken before the step keep
-    their values. A non-finite result raises :class:`DivergenceError` and
-    leaves ``m`` unchanged; on a stack its ``mask`` flags every learner with a
-    non-finite layer and its ``learner`` is the lowest of them.
+    The update is one pass over every parameter into a fresh ``theta``, and
+    ``m`` is rebound to it and its views; the old arrays are not written
+    into, so views and copies taken before the step keep their values. A
+    hand-built (d_weights, d_biases) pair is packed into the layout first.
+    A non-finite result raises :class:`DivergenceError` and leaves ``m``
+    unchanged; on a stack its ``mask`` flags every learner with a non-finite
+    parameter and its ``learner`` is the lowest of them.
     """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")
-    weights = []
-    biases = []
-    # Overflow here is the designed divergence signal, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    if isinstance(grads, Gradients) and grads.shapes == m.shapes and grads.theta.shape == m.theta.shape:
+        grad = grads.theta
+    else:
         for l, (w, b, dw, db) in enumerate(zip(m.weights, m.biases, *grads, strict=True)):
             if dw.shape != w.shape or db.shape != b.shape:
                 raise ValueError(f"layer {l}: gradient shape mismatch")
-            weights.append(w - alpha * dw)
-            biases.append(b - alpha * db)
-    # finite[l] is one flag for a single network, one per learner for a stack
-    finite = np.array([np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
-                       for w, b in zip(weights, biases)])
+        grad = _pack(*grads)
+    # Overflow here is the designed divergence signal, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = np.multiply(grad, alpha)
+        np.subtract(m.theta, theta, out=theta)
+    finite = np.isfinite(theta)
     if not finite.all():
-        mask = None if finite.ndim == 1 else ~finite.all(axis=0)
+        mask = None if theta.ndim == 1 else ~finite.all(axis=-1)
         learner = None if mask is None else int(np.argmax(mask))
-        layer = int(np.argmin(finite if learner is None else finite[:, learner]))
+        layer = _first_bad_layer(finite if learner is None else finite[learner], m.shapes)
         raise DivergenceError(f"non-finite parameter after update in layer {layer}", learner, mask)
-    m.weights = tuple(weights)
-    m.biases = tuple(biases)
+    m.theta = theta
+    m.weights, m.biases = _layer_views(theta, m.shapes)
 
 
 def mlp_to_dict(m: MLP) -> dict:

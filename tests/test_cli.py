@@ -68,6 +68,18 @@ class TestUsage:
         assert ">= 2" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "train"])
+    @pytest.mark.parametrize("hidden", ["0", "10,-1"])
+    def test_bad_hidden_width_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, hidden):
+        def no_dataset(*args):
+            raise AssertionError("loaded the dataset before rejecting the config")
+
+        monkeypatch.setattr("sea_ensemble.harness.load_dataset", no_dataset)
+        args = [command, "--method", "sea", "--grid", "0.5", "--outdir", str(tmp_path)] + BASE + ["--hidden", hidden]
+        assert main(args) == EXIT_USAGE
+        assert "hidden widths must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_boundary_short_grid_rejected_before_training(self, tmp_path, capsys):
         args = ["boundary", "--method", "sea", "--grid", "0,0.5,1,1,1.5", "--outdir", str(tmp_path)] + BASE
         assert main(args) == EXIT_USAGE

@@ -207,6 +207,23 @@ class TestGradientRelations:
             ncl = output_gradients(preds, t, MethodConfig("ncl", lam))
             np.testing.assert_array_equal(star, ncl)
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 10, 20])
+    def test_unit_step_from_agreement_contracts_by_beta(self, m):
+        # sea's loss has unit curvature in f_i, so one unit gradient step jumps learner i to the
+        # minimizer of its loss; from learners that all agree, that scales the ensemble error
+        # fbar - t by beta = (1-k)(M-1)/M, inside and outside the theoretical interval
+        lo, hi = theory.sea_k_bounds(m)
+        rng = np.random.default_rng(m)
+        fbar = rng.normal(size=(9, 2))
+        t = rng.normal(size=(9, 2))
+        err = fbar - t
+        for k in (-0.3, 0.5, 1.7, 2.3, lo - 0.4, hi + 0.4):
+            for i in range(m):
+                f = np.repeat(fbar[None], m, axis=0)
+                f[i] -= output_gradients(f, t, MethodConfig("sea", k))[i]
+                got = f.mean(axis=0) - t
+                assert (np.abs(got - theory.beta_from_k(k, m) * err) <= 1e-12 * np.abs(err)).all()
+
     def test_k_one_step_contracts_toward_complement(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -414,6 +431,17 @@ class TestStackedStep:
         for a, b in zip(arrays, values):
             np.testing.assert_array_equal(a, b)
         assert not all(np.array_equal(a, b) for a, b in zip(ens.net.weights + ens.net.biases, values))
+
+    def test_learners_are_views_and_take_copies(self):
+        ens = build_ensemble(2, [6, 4], 1, 4, MethodConfig("sea", 0.5), seed=17)
+        for i, learner in enumerate(ens.learners):
+            assert np.shares_memory(learner.theta, ens.net.theta[i])
+            for a, b in zip(learner.weights + learner.biases, ens.net.weights + ens.net.biases):
+                assert np.shares_memory(a, ens.net.theta)
+                np.testing.assert_array_equal(a, b[i])
+        part = ens.take([0, 0])
+        assert not np.shares_memory(part.net.theta, ens.net.theta)
+        np.testing.assert_array_equal(part.net.theta, np.concatenate([ens.net.theta] * 2))
 
     def test_single_network_rejected(self):
         with pytest.raises(ValueError, match="stacked MLP"):

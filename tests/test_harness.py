@@ -162,6 +162,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="epochs"):
             small_cfg(epochs=0)
 
+    @pytest.mark.parametrize("hidden", [(0,), (10, -1)])
+    def test_hidden_widths_positive(self, hidden):
+        with pytest.raises(ValueError, match="hidden widths"):
+            small_cfg(hidden=hidden)
+
 
 class TestSeedIsolation:
     def test_split_and_inits_method_independent(self):

@@ -6,6 +6,7 @@ import pytest
 from sea_ensemble.mlp import (
     MLP,
     DivergenceError,
+    Gradients,
     _sigmoid,
     backward_batch,
     forward_batch,
@@ -321,6 +322,142 @@ class TestStack:
         with pytest.raises(DivergenceError) as exc:
             sgd_step(net, grads, 0.1)
         assert exc.value.learner is None and exc.value.mask is None
+
+
+def stacked_net(m: int, widths=(3, 6, 4, 1), seed: int = 0) -> MLP:
+    nets = [init_mlp(widths[0], list(widths[1:-1]), widths[-1], seed + i) for i in range(m)]
+    return MLP(tuple(np.stack(ws) for ws in zip(*(n.weights for n in nets))),
+               tuple(np.stack(bs) for bs in zip(*(n.biases for n in nets))))
+
+
+def matmul_backward(m: MLP, trace, delta):
+    """backward_batch's arithmetic with every propagation written as the matmul ``swapaxes(w) @ g``."""
+    g = np.ascontiguousarray(np.swapaxes(delta, -1, -2))
+    d_weights, d_biases = [None] * m.n_layers, [None] * m.n_layers
+    for l in range(m.n_layers - 1, -1, -1):
+        d_weights[l], d_biases[l] = g @ trace[l], g.sum(axis=-1)
+        if l > 0:
+            a = np.swapaxes(trace[l], -1, -2)
+            g = (np.swapaxes(m.weights[l], -1, -2) @ g) * ((1.0 - a) * a)
+    return d_weights, d_biases
+
+
+def hand_pair(grads) -> tuple:
+    """The same gradient as a hand-built pair of fresh per-layer arrays."""
+    return tuple(dw.copy() for dw in grads[0]), tuple(db.copy() for db in grads[1])
+
+
+class TestFlatLayout:
+    """theta holds W_0, b_0, W_1, b_1, ... per learner; weights, biases and gradients are views of one array."""
+
+    @pytest.mark.parametrize("m", [None, 4])
+    def test_layers_are_views_in_order(self, m):
+        net = init_mlp(3, [6, 4], 2, 1) if m is None else stacked_net(m, (3, 6, 4, 2))
+        rows = net.theta.reshape(-1, net.theta.shape[-1])
+        for i, row in enumerate(rows):
+            want = np.concatenate([a.reshape(rows.shape[0], -1)[i] for w, b in zip(net.weights, net.biases)
+                                   for a in (w, b)])
+            np.testing.assert_array_equal(row, want)
+        assert net.shapes == ((6, 3), (4, 6), (2, 4))
+        assert all(np.shares_memory(a, net.theta) for a in net.weights + net.biases)
+
+    def test_construction_copies_its_inputs(self):
+        weights = (np.ones((2, 4, 3)), np.ones((2, 1, 4)))
+        biases = (np.zeros((2, 4)), np.zeros((2, 1)))
+        net = MLP(weights, biases)
+        assert not any(np.shares_memory(net.theta, a) for a in weights + biases)
+
+    def test_non_finite_layer_named(self):
+        net = stacked_net(3)
+        weights = list(net.weights)
+        weights[1] = weights[1].copy()
+        weights[1][2, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="layer 1: non-finite"):
+            MLP(tuple(weights), net.biases)
+
+    @pytest.mark.parametrize("m", [None, 5])
+    def test_backward_writes_one_gradient_array(self, m):
+        net = init_mlp(3, [6, 4], 1, 2) if m is None else stacked_net(m)
+        rng = np.random.default_rng(6)
+        _, trace = forward_batch(net, rng.normal(size=(8, 3)))
+        grads = backward_batch(net, trace, rng.normal(size=trace[-1].shape))
+        assert isinstance(grads, Gradients) and grads.theta.shape == net.theta.shape
+        assert all(np.shares_memory(a, grads.theta) for a in grads[0] + grads[1])
+        assert not np.shares_memory(grads.theta, net.theta)
+
+    @pytest.mark.parametrize("m", [None, 5])
+    def test_hand_built_pair_steps_bitwise_equal(self, m):
+        net = init_mlp(3, [6, 4], 1, 2) if m is None else stacked_net(m)
+        rng = np.random.default_rng(7)
+        _, trace = forward_batch(net, rng.normal(size=(8, 3)))
+        grads = backward_batch(net, trace, rng.normal(size=trace[-1].shape))
+        own, hand = MLP(net.weights, net.biases), MLP(net.weights, net.biases)
+        sgd_step(own, grads, 0.3)
+        sgd_step(hand, hand_pair(grads), 0.3)
+        np.testing.assert_array_equal(own.theta, hand.theta)
+        assert not np.array_equal(own.theta, net.theta)
+
+    @pytest.mark.parametrize("m", [None, 6])
+    def test_hand_built_pair_diverges_alike(self, m):
+        net = init_mlp(3, [6, 4], 1, 2) if m is None else stacked_net(m)
+        rng = np.random.default_rng(8)
+        _, trace = forward_batch(net, rng.normal(size=(8, 3)))
+        grads = backward_batch(net, trace, rng.normal(size=trace[-1].shape))
+        if m is None:
+            grads[1][1][2] = np.inf  # layer 1's bias
+        else:
+            grads[1][1][2:, 2] = np.inf  # layer 1's bias in learners 2..
+            grads[0][0][3] = np.nan  # and learner 3's first layer
+        before = net.theta.copy()
+        reports = []
+        for g in (grads, hand_pair(grads)):
+            with pytest.raises(DivergenceError) as exc:
+                sgd_step(net, g, 0.1)
+            mask = None if exc.value.mask is None else exc.value.mask.tolist()
+            reports.append((str(exc.value), exc.value.learner, mask))
+            np.testing.assert_array_equal(net.theta, before)
+        assert reports[0] == reports[1]
+        # the lowest diverging learner names its lowest non-finite layer
+        assert reports[0][0].endswith("layer 1")
+        assert reports[0][1:] == ((None, None) if m is None else (2, [i >= 2 for i in range(m)]))
+
+    def test_gradients_of_another_layout_are_checked(self):
+        net = stacked_net(3, (3, 6, 4, 1))
+        other = stacked_net(3, (3, 4, 6, 1))
+        _, trace = forward_batch(other, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="gradient shape mismatch"):
+            sgd_step(net, backward_batch(other, trace, np.ones((3, 2, 1))), 0.1)
+
+    @pytest.mark.parametrize("m", [None, 1, 7])
+    @pytest.mark.parametrize("d_out", [1, 3])
+    def test_one_output_propagation(self, monkeypatch, m, d_out):
+        # a one-output layer propagates by a broadcast product; it must give the matmul's bits
+        widths = (3, 6, 4, d_out)
+        net = init_mlp(3, [6, 4], d_out, 3) if m is None else stacked_net(m, widths, seed=3)
+        rng = np.random.default_rng(9)
+        _, trace = forward_batch(net, rng.normal(size=(11, 3)))
+        delta = rng.normal(size=trace[-1].shape)
+        products = []
+        multiply = np.multiply
+
+        def counting(*args, **kwargs):
+            products.append(args[0].shape)
+            return multiply(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "multiply", counting)
+            got = backward_batch(net, trace, delta)
+        assert len(products) == (d_out == 1)
+        want = matmul_backward(net, trace, delta)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_output_product_is_the_matmul(self):
+        rng = np.random.default_rng(10)
+        for m, h, n in [(1, 10, 200), (10, 10, 200), (220, 10, 10), (3, 1, 7)]:
+            w_t = np.swapaxes(rng.normal(size=(m, 1, h)), -1, -2)
+            g = rng.normal(0.0, 1e3, size=(m, 1, n))
+            np.testing.assert_array_equal(np.multiply(w_t, g), w_t @ g)
 
 
 class TestCheckpoint:
