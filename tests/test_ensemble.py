@@ -432,17 +432,6 @@ class TestStackedStep:
             np.testing.assert_array_equal(a, b)
         assert not all(np.array_equal(a, b) for a, b in zip(ens.net.weights + ens.net.biases, values))
 
-    def test_learners_are_views_and_take_copies(self):
-        ens = build_ensemble(2, [6, 4], 1, 4, MethodConfig("sea", 0.5), seed=17)
-        for i, learner in enumerate(ens.learners):
-            assert np.shares_memory(learner.theta, ens.net.theta[i])
-            for a, b in zip(learner.weights + learner.biases, ens.net.weights + ens.net.biases):
-                assert np.shares_memory(a, ens.net.theta)
-                np.testing.assert_array_equal(a, b[i])
-        part = ens.take([0, 0])
-        assert not np.shares_memory(part.net.theta, ens.net.theta)
-        np.testing.assert_array_equal(part.net.theta, np.concatenate([ens.net.theta] * 2))
-
     def test_single_network_rejected(self):
         with pytest.raises(ValueError, match="stacked MLP"):
             EnsembleModel(init_mlp(2, [3], 1, 0), MethodConfig("sea", 0.5), seed=0)
@@ -497,6 +486,18 @@ class TestGridStack:
             for _ in range(50):
                 train_epoch(stack, ds.features, ds.targets, 5.0)
         assert exc.value.mask.any() and not exc.value.mask[:3].any() and not exc.value.mask[6:].any()
+
+
+def test_learners_are_views_and_take_copies():
+    ens = build_ensemble(2, [6, 4], 1, 4, MethodConfig("sea", 0.5), seed=17)
+    for i, learner in enumerate(ens.learners):
+        assert np.shares_memory(learner.theta, ens.net.theta[i])
+        for a, b in zip(learner.weights + learner.biases, ens.net.weights + ens.net.biases):
+            assert np.shares_memory(a, ens.net.theta)
+            np.testing.assert_array_equal(a, b[i])
+    part = ens.take([0, 0])
+    assert not np.shares_memory(part.net.theta, ens.net.theta)
+    np.testing.assert_array_equal(part.net.theta, np.concatenate([ens.net.theta] * 2))
 
 
 def allocating_step(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) -> None:
