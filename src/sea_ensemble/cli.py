@@ -195,6 +195,8 @@ def _cmd_train(args) -> int:
         raise UsageError("train scores the data it trains on; --metric-on-train is for sweep, boundary and diversity")
     cfg = _config_from_args(args)
     param = args.param if args.param is not None else cfg.grid[0]
+    if not np.isfinite(param):
+        raise UsageError(f"--param must be finite, got {param}")
     m = cfg.m_list[0]
     ds = harness.load_dataset(cfg)
     train, _ = standardize(ds)

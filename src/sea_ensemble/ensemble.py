@@ -25,9 +25,8 @@ one training step, :func:`train_epoch`. Cross-learner gradient terms are
 dropped throughout: learner i's parameters only feel d(e_i)/d(f_i).
 
 The M learners live in one stacked MLP, whose (M, n_params) parameter array
-holds an (M, fan_out, fan_in) weight and an (M, fan_out) bias per layer, so a
-training step is one batched forward, backward and update with no loop over
-learners. A stack may hold P ensembles, one per parameter value, trained by
+holds an (M, fan_out, fan_in + 1) ``[W | b]`` block per layer, so a training
+step is one batched forward, backward and update with no loop over learners. A stack may hold P ensembles, one per parameter value, trained by
 the same step. The stack is the only form an ensemble has: it is built,
 checkpointed and reloaded as one MLP.
 """

@@ -100,8 +100,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("synthetic dataset needs n >= 1")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        if not np.isfinite(self.noise_sd) or self.noise_sd < 0:
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,8 @@ class ExperimentConfig:
             raise ValueError("exactly one of dataset_path or synth must be set")
         if not self.grid:
             raise ValueError("parameter grid must be nonempty")
+        if not np.isfinite(self.grid).all():
+            raise ValueError(f"parameter grid values must be finite, got {list(self.grid)}")
         if any(b < a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("parameter grid must be sorted ascending")
         if not self.m_list or any(m < 1 for m in self.m_list):
@@ -145,8 +147,8 @@ class ExperimentConfig:
             raise ValueError("epochs must be >= 1")
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not np.isfinite(self.alpha) or self.alpha <= 0:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.task not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unknown task {self.task!r}")
         if self.synth is not None and self.task != REGRESSION:

@@ -10,25 +10,32 @@ axis, so an ensemble trains with one batched matmul per layer, not M calls;
 each learner's slice is bitwise what a single-network call computes.
 
 Parameter layout: a network's parameters live in one flat array ``theta``,
-(n_params,) for one network and (M, n_params) for a stack, laid out per
-learner as W_0, b_0, W_1, b_1, ... with each W_l row-major (fan_out, fan_in).
-``weights`` and ``biases`` are views into it, and :func:`backward_batch`
-returns its gradient in the same layout, so :func:`sgd_step` updates every
-layer of every learner in one pass. The MLP owns ``theta``: construction
-copies the given layers into a new one, and each step makes a fresh one and
-rebinds the views, so arrays taken from an MLP keep their values.
-:meth:`MLP.from_theta` wraps an existing array without a copy, which is how
-an ensemble's per-learner views and row copies are made.
+(n_params,) for one network and (M, n_params) for a stack. Per learner it
+holds one block per layer, ``[W_l | b_l]`` of shape (fan_out, fan_in + 1),
+row-major, so each row is a unit's weights followed by its bias. ``blocks``
+are views into ``theta``, and ``weights`` and ``biases`` are strided views
+into the blocks. :func:`backward_batch` returns its gradient in the same
+layout, so :func:`sgd_step` updates every layer of every learner in one
+pass. The MLP owns ``theta``: construction copies the given layers into a
+new one, and each step makes a fresh one and rebinds the views, so arrays
+taken from an MLP keep their values. :meth:`MLP.from_theta` wraps an
+existing array without a copy, which is how an ensemble's per-learner views
+and row copies are made.
 
-Memory layout: activations are computed feature-major, (..., fan_out, N)
-with the batch axis contiguous, as ``w @ a``; the bias add and the sigmoid
-then run in place on the matmul's result. The public shapes are
-sample-major: outputs and trace entries past the input are
-``swapaxes`` views, (N, O) and (N, H), or (M, N, O) and (M, N, H) for a
-stack, of the feature-major arrays.
+Activations: every array the kernels make is unit-major, (width, M, N) for a
+stack and (width, N) for one network, so the elementwise passes (the
+sigmoid, ``1 - a``, ``g *= d``) run on contiguous memory, and the matmuls
+read and write the view ``buf.swapaxes(0, -2)``. A layer's input has a last
+row of ones, written once when its buffer is made, so a layer is one matmul
+with the bias inside the dot product, and ``g @ trace[l]`` is its dW and db
+at once. Hidden layers multiply by ``0.5 * [W | b]``: scaling by a power of
+two is exact, so that is ``0.5 * (W a + b)`` bit for bit, and the sigmoid
+``0.5 * (1 + tanh(z/2))`` starts at its tanh. Outputs, (N, O) or (M, N, O),
+and trace entries, (N, fan_in + 1) or (M, N, fan_in + 1) ending in the
+column of ones, are sample-major views of these buffers.
 
 Workspace: :func:`forward_batch` and :func:`backward_batch` write every
-(..., width, N) array they make, the activations and the backward ``g`` and
+(width, ..., N) array they make, the activations and the backward ``g`` and
 ``d``, into a ``work`` dict with one array per (kind, layer) key. An array is
 reused while its shape holds and replaced when it changes, so a workspace
 holds one step's arrays, of the last shape it saw. By default each call gets
@@ -61,9 +68,10 @@ class MLP:
 
     A stack of M networks is (M, fan_out, fan_in) and (M, fan_out) per layer.
     Construction checks the shapes and values and packs the layers into a new
-    ``theta`` (see the module docstring), of which ``weights`` and ``biases``
-    become views; :func:`sgd_step` then replaces ``theta`` and the views with
-    new arrays and never writes into the old ones.
+    ``theta`` (see the module docstring), whose per-layer ``[W | b]`` blocks
+    are ``blocks``, of which ``weights`` and ``biases`` are strided views;
+    :func:`sgd_step` then replaces ``theta`` and the views with new arrays
+    and never writes into the old ones.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -82,7 +90,7 @@ class MLP:
                 raise ValueError(f"layer {l}: fan_in {w.shape[-1]} does not chain")
         self.shapes = tuple(w.shape[-2:] for w in weights)  # each layer's (fan_out, fan_in)
         self.theta = _pack(weights, biases)
-        self.weights, self.biases = _layer_views(self.theta, self.shapes)
+        self.blocks, self.weights, self.biases = _views(self.theta, self.shapes)
         finite = np.isfinite(self.theta).reshape(-1, self.theta.shape[-1]).all(axis=0)
         if not finite.all():
             raise ValueError(f"layer {_first_bad_layer(finite, self.shapes)}: non-finite parameters")
@@ -92,7 +100,7 @@ class MLP:
         """The MLP over ``theta`` itself, with layers of (fan_out, fan_in) ``shapes``: no copy, no check."""
         m = object.__new__(cls)
         m.shapes, m.theta = shapes, theta
-        m.weights, m.biases = _layer_views(theta, shapes)
+        m.blocks, m.weights, m.biases = _views(theta, shapes)
         return m
 
     @property
@@ -109,25 +117,25 @@ class MLP:
 
 
 def _pack(weights, biases) -> np.ndarray:
-    """A new ``theta`` holding per-layer (weight, bias) arrays of matching stacks, in the module's layout."""
-    parts = []
-    for w, b in zip(weights, biases):
-        w = np.asarray(w, dtype=np.float64)
-        parts += [w.reshape(w.shape[:-2] + (w.shape[-2] * w.shape[-1],)), np.asarray(b, dtype=np.float64)]
-    return np.concatenate(parts, axis=-1)
+    """A new ``theta`` holding per-layer (weight, bias) arrays of matching, checked stacks, in the module's layout."""
+    shapes = tuple(np.shape(w)[-2:] for w in weights)
+    theta = np.empty(np.shape(weights[0])[:-2] + (sum(o * (i + 1) for o, i in shapes),))
+    for block, w, b in zip(_views(theta, shapes)[0], weights, biases):
+        block[..., :-1] = w
+        block[..., -1] = b
+    return theta
 
 
-def _layer_views(theta: np.ndarray, shapes) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Each layer's weight and bias as views into ``theta`` (..., n_params)."""
+def _views(theta: np.ndarray, shapes) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Each layer's [W | b] block (..., fan_out, fan_in + 1) as a view into ``theta``, and its W and b as views of that."""
     lead = theta.shape[:-1]
-    weights, biases = [], []
+    blocks = []
     start = 0
     for fan_out, fan_in in shapes:
-        stop = start + fan_out * fan_in
-        weights.append(theta[..., start:stop].reshape(lead + (fan_out, fan_in)))
-        biases.append(theta[..., stop : stop + fan_out])
-        start = stop + fan_out
-    return tuple(weights), tuple(biases)
+        stop = start + fan_out * (fan_in + 1)
+        blocks.append(theta[..., start:stop].reshape(lead + (fan_out, fan_in + 1)))
+        start = stop
+    return tuple(blocks), tuple(b[..., :-1] for b in blocks), tuple(b[..., -1] for b in blocks)
 
 
 def _first_bad_layer(finite: np.ndarray, shapes) -> int:
@@ -140,8 +148,9 @@ class Gradients(tuple):
     """:func:`backward_batch`'s (d_weights, d_biases): per-layer views into ``theta``, laid out as ``MLP.theta``."""
 
     def __new__(cls, theta: np.ndarray, shapes: tuple[tuple[int, int], ...]):
-        grads = super().__new__(cls, _layer_views(theta, shapes))
-        grads.theta, grads.shapes = theta, shapes
+        blocks, d_weights, d_biases = _views(theta, shapes)
+        grads = super().__new__(cls, (d_weights, d_biases))
+        grads.theta, grads.shapes, grads.blocks = theta, shapes, blocks
         return grads
 
 
@@ -163,29 +172,42 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # One pass and no mask: tanh saturates instead of overflowing. Within
     # 2.3e-16 absolute of 1/(1+exp(-z)); exactly 0 below z ~ -38. The four
     # steps of 0.5 * (1 + tanh(z/2)) run in ``out`` (which may be ``z``).
-    out = np.multiply(z, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
+    return _sigmoid_of_half(np.multiply(z, 0.5, out=out))
 
 
-def _buffer(work: dict, key: tuple, shape: tuple) -> np.ndarray:
-    """``work[key]`` when it has ``shape``, else a new array that replaces it."""
+def _sigmoid_of_half(h: np.ndarray) -> np.ndarray:
+    """sigmoid(2 h) in place: the last three steps of :func:`_sigmoid`."""
+    np.tanh(h, out=h)
+    h += 1.0
+    h *= 0.5
+    return h
+
+
+def _buffer(work: dict, key: tuple, shape: tuple, ones: bool = False) -> np.ndarray:
+    """``work[key]`` when it has ``shape``, else a new array that replaces it, with a last row of ones if ``ones``."""
     buf = work.get(key)
     if buf is None or buf.shape != shape:
         buf = work[key] = np.empty(shape)
+        if ones:
+            buf[-1] = 1.0
     return buf
+
+
+def _sample_major(buf: np.ndarray) -> np.ndarray:
+    """The (..., N, width) view of a unit-major (width, ..., N) buffer."""
+    return buf.swapaxes(0, -2).swapaxes(-1, -2)
 
 
 def forward_batch(m: MLP, x: np.ndarray, work: dict | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward an (N, D) batch; returns (N, O) outputs and the activation trace.
 
     The trace is the list of layer inputs [a_0 .. a_{L-1}] plus the final
-    output, i.e. acts[l] feeds layer l. Hidden activations are sigmoid, the
-    output layer is linear. A stack of M networks shares the input and
-    returns (M, N, O) outputs; its trace entries past the input are (M, N, H).
-    Outputs and trace past the input live in ``work`` (default: a fresh one).
+    output, i.e. acts[l] feeds layer l; each layer input, the given batch
+    included, carries a trailing column of ones, (N, fan_in + 1). Hidden
+    activations are sigmoid, the output layer is linear. A stack of M
+    networks shares the input and returns (M, N, O) outputs; its trace
+    entries past the input are (M, N, fan_in + 1). Outputs and trace live in
+    ``work`` (default: a fresh one), as views of its unit-major buffers.
     """
     work = {} if work is None else work
     x = np.asarray(x, dtype=np.float64)
@@ -193,15 +215,20 @@ def forward_batch(m: MLP, x: np.ndarray, work: dict | None = None) -> tuple[np.n
         raise ValueError(f"expected (N, {m.d_in}) input, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
-    acts = [x]
-    a = np.ascontiguousarray(x.T)
-    last = m.n_layers - 1
-    for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        a = np.matmul(w, a, out=_buffer(work, ("a", l), w.shape[:-1] + a.shape[-1:]))  # (..., fan_out, N)
-        a += b[..., None]
-        if l < last:
-            _sigmoid(a, out=a)
-        acts.append(np.swapaxes(a, -1, -2))
+    stack, n = m.theta.shape[:-1], x.shape[0]
+    a = _buffer(work, ("a", 0), (m.d_in + 1, n), ones=True)
+    np.copyto(a[:-1], x.T)
+    acts = [_sample_major(a)]
+    for l, block in enumerate(m.blocks[:-1], start=1):
+        h = _buffer(work, ("a", l), (block.shape[-2] + 1,) + stack + (n,), ones=True)
+        # 0.5 * [W | b] is exact, so the matmul gives z / 2 and the sigmoid skips its first step
+        np.matmul(np.multiply(block, 0.5), a.swapaxes(0, -2), out=h[:-1].swapaxes(0, -2))
+        _sigmoid_of_half(h[:-1])
+        acts.append(_sample_major(h))
+        a = h
+    y = _buffer(work, ("a", m.n_layers), (m.d_out,) + stack + (n,))
+    np.matmul(m.blocks[-1], a.swapaxes(0, -2), out=y.swapaxes(0, -2))
+    acts.append(_sample_major(y))
     return acts[-1], acts
 
 
@@ -210,12 +237,14 @@ def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work:
 
     ``trace`` must come from :func:`forward_batch` on the same parameters;
     ``delta_out`` is d(loss)/d(output) per sample, (M, N, O) for a stack.
-    Every dW and db is written straight into one new gradient array laid out
-    as ``m.theta``, and the returned pair is per-layer views into it, which
-    :func:`sgd_step` takes as one array. The propagated gradients live in
-    ``work`` (default: a fresh one); the returned sums and the MLP do not.
-    A layer with one output unit propagates by a broadcast product, which
-    gives the bits of its inner-dimension-1 matmul without its overhead.
+    Each layer's dW and db are one matmul, ``g @ trace[l]`` against the
+    trace's ones column, written straight into that layer's block of one new
+    gradient array laid out as ``m.theta``; the returned pair is per-layer
+    views into it, which :func:`sgd_step` takes as one array. The propagated
+    gradients live in ``work`` (default: a fresh one), unit-major like the
+    activations; the returned sums and the MLP do not. A layer with one
+    output unit propagates by a broadcast product, which gives the bits of
+    its inner-dimension-1 matmul without its overhead.
     """
     work = {} if work is None else work
     delta_out = np.asarray(delta_out, dtype=np.float64)
@@ -227,22 +256,24 @@ def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work:
             f"delta_out shape {delta_out.shape} does not match output {trace[-1].shape}"
         )
     grads = Gradients(np.empty(m.theta.shape), m.shapes)
-    d_weights, d_biases = grads
-    # feature-major (..., O, N), the same bits whatever the caller's layout
-    g_out = delta_out.swapaxes(-1, -2)
+    # unit-major (O, ..., N), the same bits whatever the caller's layout
+    g_out = delta_out.swapaxes(-1, -2).swapaxes(0, -2)
     g = _buffer(work, ("g", n_layers - 1), g_out.shape)
     np.copyto(g, g_out)
     for l in range(n_layers - 1, -1, -1):
-        np.matmul(g, trace[l], out=d_weights[l])
-        np.add.reduce(g, axis=-1, out=d_biases[l])
+        np.matmul(g.swapaxes(0, -2), trace[l], out=grads.blocks[l])
         if l > 0:
-            a = trace[l].swapaxes(-1, -2)  # sigmoid output feeding layer l
+            a = trace[l].swapaxes(-1, -2).swapaxes(0, -2)[:-1]  # the sigmoid output feeding layer l
             w_t = m.weights[l].swapaxes(-1, -2)
-            propagate = np.multiply if w_t.shape[-1] == 1 else np.matmul
-            g = propagate(w_t, g, out=_buffer(work, ("g", l - 1), a.shape))
+            g_in = _buffer(work, ("g", l - 1), a.shape)
+            if w_t.shape[-1] == 1:
+                np.multiply(w_t.swapaxes(0, -2), g, out=g_in)  # unit-major (fan_in, ..., 1) * (1, ..., N)
+            else:
+                np.matmul(w_t, g.swapaxes(0, -2), out=g_in.swapaxes(0, -2))
             d = np.subtract(1.0, a, out=_buffer(work, ("d", l), a.shape))
             d *= a
-            g *= d
+            g_in *= d
+            g = g_in
     return grads
 
 
@@ -277,7 +308,7 @@ def sgd_step(m: MLP, grads: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]
         layer = _first_bad_layer(finite if learner is None else finite[learner], m.shapes)
         raise DivergenceError(f"non-finite parameter after update in layer {layer}", learner, mask)
     m.theta = theta
-    m.weights, m.biases = _layer_views(theta, m.shapes)
+    m.blocks, m.weights, m.biases = _views(theta, m.shapes)
 
 
 def mlp_to_dict(m: MLP) -> dict:

@@ -80,6 +80,29 @@ class TestUsage:
         assert "hidden widths must be >= 1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("sweep", ["--grid", "0,nan"], "grid values must be finite"),
+            ("sweep", ["--grid", "0,inf"], "grid values must be finite"),
+            ("sweep", ["--alpha", "nan"], "alpha must be finite"),
+            ("sweep", ["--alpha", "inf"], "alpha must be finite"),
+            ("sweep", ["--synth-noise", "nan"], "noise_sd must be finite"),
+            ("train", ["--alpha", "nan"], "alpha must be finite"),
+            ("train", ["--param", "nan"], "--param must be finite"),
+            ("train", ["--param=-inf"], "--param must be finite"),
+        ],
+    )
+    def test_non_finite_value_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, flags, message):
+        def no_dataset(*args):
+            raise AssertionError("loaded the dataset before rejecting the config")
+
+        monkeypatch.setattr("sea_ensemble.harness.load_dataset", no_dataset)
+        args = [command, "--method", "sea", "--outdir", str(tmp_path)] + BASE + flags
+        assert main(args) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_boundary_short_grid_rejected_before_training(self, tmp_path, capsys):
         args = ["boundary", "--method", "sea", "--grid", "0,0.5,1,1,1.5", "--outdir", str(tmp_path)] + BASE
         assert main(args) == EXIT_USAGE

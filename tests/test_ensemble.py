@@ -524,6 +524,11 @@ class TestWorkspace:
     def shapes(ens: EnsembleModel) -> dict:
         return {key: a.shape for key, a in ens.work.items()}
 
+    @staticmethod
+    def learners(ens: EnsembleModel) -> set:
+        # every array but the shared input is unit-major, (width, learners, rows)
+        return {a.shape[-2] for key, a in ens.work.items() if key != ("a", 0)}
+
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("rows", [None, 7])
     def test_matches_allocating_kernels(self, method, rows):
@@ -543,9 +548,11 @@ class TestWorkspace:
         ens = self.stack("sea")
         train_epoch(ens, ds.features, ds.targets, 0.1)
         first = dict(ens.work)
-        # activations of 3 layers, g of 3 and d of the 2 hidden outputs, each (P*M, width, N)
-        assert len(first) == 8
-        assert {(s[0], s[-1]) for s in self.shapes(ens).values()} == {(12, 40)}
+        # the input and the activations of 3 layers, g of 3 and d of the 2 hidden outputs, each (width, P*M, N)
+        # but the input, (D + 1, N)
+        assert len(first) == 9
+        assert self.shapes(ens)[("a", 0)] == (3, 40)
+        assert self.learners(ens) == {12} and {s[-1] for s in self.shapes(ens).values()} == {40}
         train_epoch(ens, ds.features, ds.targets, 0.1)
         assert ens.work.keys() == first.keys()
         assert all(ens.work[key] is a for key, a in first.items())
@@ -569,8 +576,37 @@ class TestWorkspace:
         part = ens.take([0, 2])
         assert part.work == {} and ens.work
         train_epoch(part, ds.features, ds.targets, 0.1)
-        assert {s[0] for s in self.shapes(part).values()} == {8}
-        assert {s[0] for s in self.shapes(ens).values()} == {12}
+        assert self.learners(part) == {8}
+        assert self.learners(ens) == {12}
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_ones_rows_stay_ones(self, m):
+        # every learner's ones row reads exactly 1.0: after a forward, across batch-shape changes and after take
+        ds, _ = standardize(synth_regression(40, 0.1, 13))
+        ens = build_ensemble(2, [6, 4], 1, m, MethodConfig("independent"), seed=17)
+
+        def assert_ones(ens, trace=None):
+            buffers = [a for (kind, layer), a in ens.work.items() if kind == "a" and layer < 3]
+            assert len(buffers) == 3
+            for a in buffers:
+                assert a[-1].shape == ((a.shape[-1],) if a.ndim == 2 else (len(ens.net.theta), a.shape[-1]))
+                assert (a[-1] == 1.0).all()
+            for a in trace or []:
+                assert (a[..., -1] == 1.0).all()
+
+        _, trace = forward_batch(ens.net, ds.features, ens.work)
+        assert_ones(ens, trace[:-1])
+        for s in list(range(0, 40, 7)) * 2:  # 7-row batches end on a 5-row one
+            train_epoch(ens, ds.features[s : s + 7], ds.targets[s : s + 7], 0.1)
+            assert_ones(ens)
+        _, trace = forward_batch(ens.net, ds.features, ens.work)
+        assert_ones(ens, trace[:-1])
+        for part in (ens.take([0, 0], [0.0, 0.0]), ens.take([0])):
+            part.work = ens.work  # as the chunks of a column hand it on
+            train_epoch(part, ds.features, ds.targets, 0.1)
+            assert_ones(part)
+            _, trace = forward_batch(part.net, ds.features[:7], part.work)
+            assert_ones(part, trace[:-1])
 
     def test_results_do_not_alias_it(self):
         ds, _ = standardize(synth_regression(40, 0.1, 13))
@@ -656,7 +692,29 @@ class TestGradcheck:
         assert results["sea_gradient"].passed and results["ncl_gradient"].passed
 
 
+# sea, M=2, hidden (3,), after one step: a document as an earlier parameter layout, (W, b) per layer, wrote it
+OLD_LAYOUT_DOC = (
+    '{"bootstrap": null, "format": "sea-ensemble/2", "method": "sea", "net": {"format": "sea-mlp/1", "layers": '
+    '[{"biases": [0.0006965218351385193, -0.014794257042067223, -0.004615505225534679, -0.016953326547665855, '
+    '-0.005615078425693982, 0.00553351486189592], "shape": [2, 3, 2], "weights": [0.45236599650920084, '
+    '-0.5089961665070254, 0.44132250177418403, 1.0261195949536763, -0.8204757255958364, 0.9900081962572042, '
+    '0.21304019780150088, -0.18459568867453896, 0.028782768279381192, -0.7228065846840366, -0.7187832907289284, '
+    '0.5455856286353644]}, {"biases": [-0.07946393561046805, -0.07334103799522868], "shape": [2, 1, 3], '
+    '"weights": [-0.05925241040785345, 0.8224548728655677, 0.26231220242512726, 0.9168472512756356, '
+    '0.3003090603395054, -0.44436184214096164]}]}, "param": 0.5, "seed": 11}'
+)
+
+
 class TestCheckpoint:
+    def test_document_of_the_old_layout_loads_and_writes_back(self):
+        ens = ensemble_from_json(OLD_LAYOUT_DOC)
+        layers = json.loads(OLD_LAYOUT_DOC)["net"]["layers"]
+        assert len(layers) == ens.net.n_layers == 2
+        for layer, w, b in zip(layers, ens.net.weights, ens.net.biases):
+            np.testing.assert_array_equal(w, np.array(layer["weights"]).reshape(layer["shape"]))
+            np.testing.assert_array_equal(b, np.array(layer["biases"]).reshape(layer["shape"][:-1]))
+        assert ensemble_to_json(ens) == OLD_LAYOUT_DOC
+
     def test_roundtrip_and_resume(self):
         ds, _ = standardize(synth_regression(40, 0.1, 6))
         ens = build_ensemble(2, [4], 1, 3, MethodConfig("sea", 1.0), seed=11)

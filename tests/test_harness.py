@@ -167,6 +167,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="hidden widths"):
             small_cfg(hidden=hidden)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_alpha_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            small_cfg(alpha=alpha)
+
+    # NaN compares false both ways, so (0, nan, 1) passes a sortedness check
+    @pytest.mark.parametrize("grid", [(0.0, float("nan"), 1.0), (float("nan"),), (0.0, float("inf")), (-float("inf"),)])
+    def test_grid_finite(self, grid):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            small_cfg(grid=grid)
+
+    @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf"), -0.1])
+    def test_synth_noise_finite(self, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
+            SynthSpec(noise_sd=noise_sd)
+
 
 class TestSeedIsolation:
     def test_split_and_inits_method_independent(self):
@@ -394,9 +410,9 @@ class TestColumn:
         assert len({w for w, _ in shapes[:done]}) == 1 and len({w for w, _ in shapes[done:]}) == 1
         assert shapes[done - 1][0] != shapes[done][0]
         for step, (_, arrays) in enumerate(shapes):
-            # hidden (5,): two activations, two g and one d, each (learners, width, rows)
-            assert len(arrays) == 5
-            assert {s[0] for s in arrays} == {9 if step < done else 6}
+            # hidden (5,): the input (D + 1, rows), two activations, two g and one d, each (width, learners, rows)
+            assert len(arrays) == 6 and sum(len(s) == 2 for s in arrays) == 1
+            assert {s[-2] for s in arrays if len(s) == 3} == {9 if step < done else 6}
             assert {s[-1] for s in arrays} == {5 if step % 6 == 5 else 7}  # 40 rows: the 6th batch has 5
 
     def test_chunks_hand_on_one_workspace(self, monkeypatch):
@@ -414,7 +430,7 @@ class TestColumn:
         harness.run_column(cfg, 3, ds, fold_split_for(cfg, ds.n_samples), 1)
         assert [p for _, p in works] == [2, 1]
         assert works[0][0] is works[1][0]
-        assert {a.shape[0] for a in works[0][0].values()} == {3}  # the last chunk's learners
+        assert {a.shape[-2] for a in works[0][0].values() if a.ndim == 3} == {3}  # the last chunk's learners
 
 
 class TestSweep:

@@ -335,9 +335,10 @@ def matmul_backward(m: MLP, trace, delta):
     g = np.ascontiguousarray(np.swapaxes(delta, -1, -2))
     d_weights, d_biases = [None] * m.n_layers, [None] * m.n_layers
     for l in range(m.n_layers - 1, -1, -1):
-        d_weights[l], d_biases[l] = g @ trace[l], g.sum(axis=-1)
+        block = g @ trace[l]  # the trace's last column is ones, so the last column here is db
+        d_weights[l], d_biases[l] = block[..., :-1], block[..., -1]
         if l > 0:
-            a = np.swapaxes(trace[l], -1, -2)
+            a = np.swapaxes(trace[l], -1, -2)[..., :-1, :]
             g = (np.swapaxes(m.weights[l], -1, -2) @ g) * ((1.0 - a) * a)
     return d_weights, d_biases
 
@@ -348,18 +349,21 @@ def hand_pair(grads) -> tuple:
 
 
 class TestFlatLayout:
-    """theta holds W_0, b_0, W_1, b_1, ... per learner; weights, biases and gradients are views of one array."""
+    """theta holds [W_0 | b_0], [W_1 | b_1], ... per learner; weights, biases and gradients are views of one array."""
 
     @pytest.mark.parametrize("m", [None, 4])
     def test_layers_are_views_in_order(self, m):
         net = init_mlp(3, [6, 4], 2, 1) if m is None else stacked_net(m, (3, 6, 4, 2))
         rows = net.theta.reshape(-1, net.theta.shape[-1])
+        weights = [w.reshape((len(rows),) + w.shape[-2:]) for w in net.weights]
+        biases = [b.reshape(len(rows), -1) for b in net.biases]
         for i, row in enumerate(rows):
-            want = np.concatenate([a.reshape(rows.shape[0], -1)[i] for w, b in zip(net.weights, net.biases)
-                                   for a in (w, b)])
+            # each layer is a row-major (fan_out, fan_in + 1) block: a unit's weights, then its bias
+            want = np.concatenate([np.column_stack([w[i], b[i]]).ravel() for w, b in zip(weights, biases)])
             np.testing.assert_array_equal(row, want)
         assert net.shapes == ((6, 3), (4, 6), (2, 4))
-        assert all(np.shares_memory(a, net.theta) for a in net.weights + net.biases)
+        assert [blk.shape[-2:] for blk in net.blocks] == [(6, 4), (4, 7), (2, 5)]
+        assert all(np.shares_memory(a, net.theta) for a in net.blocks + net.weights + net.biases)
 
     def test_construction_copies_its_inputs(self):
         weights = (np.ones((2, 4, 3)), np.ones((2, 1, 4)))
