@@ -692,7 +692,7 @@ class TestGradcheck:
         assert results["sea_gradient"].passed and results["ncl_gradient"].passed
 
 
-# sea, M=2, hidden (3,), after one step: a document as an earlier parameter layout, (W, b) per layer, wrote it
+# sea, M=2, hidden (3,), after one step; written while theta was laid out W_0, b_0, W_1, b_1 per learner
 OLD_LAYOUT_DOC = (
     '{"bootstrap": null, "format": "sea-ensemble/2", "method": "sea", "net": {"format": "sea-mlp/1", "layers": '
     '[{"biases": [0.0006965218351385193, -0.014794257042067223, -0.004615505225534679, -0.016953326547665855, '
