@@ -56,7 +56,7 @@ def _parse_float_list(text: str) -> list[float]:
         if len(parts) != 3:
             raise UsageError(f"range syntax is lo:hi:step, got {text!r}")
         lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
+        if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
             raise UsageError(f"bad range {text!r}")
         count = int(round((hi - lo) / step))
         values = [round(lo + i * step, 10) for i in range(count + 1)]

@@ -69,6 +69,8 @@ class MethodConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         object.__setattr__(self, "param", float(self.param))
+        if not np.isfinite(self.param):
+            raise ValueError(f"{self.method} parameter must be finite, got {self.param}")
 
 
 class EnsembleModel:
@@ -83,9 +85,9 @@ class EnsembleModel:
 
     def __init__(self, net: MLP, config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):
         # MLP has checked the stack; a checkpoint may still hold a single network or no learner
-        if net.weights[0].ndim != 3:
+        if net.theta.ndim != 2:
             raise ValueError(f"ensemble needs a stacked MLP, got layer 0 weights {net.weights[0].shape}")
-        if net.weights[0].shape[0] == 0:
+        if len(net.theta) == 0:
             raise ValueError("ensemble needs at least one learner")
         self.net = net
         self.work: dict = {}

@@ -79,29 +79,22 @@ def check_mlp_backward(n_nets: int = 50, seed: int = 0, h: float = 1e-6, tol: fl
         x = rng.normal(size=(1, d_in))
         delta = rng.normal(size=(1, d_out))
         _, trace = forward_batch(net, x)
-        d_weights, d_biases = backward_batch(net, trace, delta)
+        grad = backward_batch(net, trace, delta)
 
-        def loss(model: MLP) -> float:
-            y, _ = forward_batch(model, x)
+        def loss(theta: np.ndarray) -> float:
+            y, _ = forward_batch(MLP.from_theta(theta, net.shapes), x)
             return float(np.vdot(delta, y))
 
-        for l in range(net.n_layers):
-            fd_w = np.zeros_like(net.weights[l])
-            for idx in np.ndindex(*fd_w.shape):
-                wp = [w.copy() for w in net.weights]
-                wm = [w.copy() for w in net.weights]
-                wp[l][idx] += h
-                wm[l][idx] -= h
-                fd_w[idx] = (loss(MLP(tuple(wp), net.biases)) - loss(MLP(tuple(wm), net.biases))) / (2 * h)
-            worst = max(worst, _rel_err(d_weights[l], fd_w))
-            fd_b = np.zeros_like(net.biases[l])
-            for idx in np.ndindex(*fd_b.shape):
-                bp = [b.copy() for b in net.biases]
-                bm = [b.copy() for b in net.biases]
-                bp[l][idx] += h
-                bm[l][idx] -= h
-                fd_b[idx] = (loss(MLP(net.weights, tuple(bp))) - loss(MLP(net.weights, tuple(bm)))) / (2 * h)
-            worst = max(worst, _rel_err(d_biases[l], fd_b))
+        fd = np.zeros_like(net.theta)
+        for j in range(len(fd)):
+            tp, tm = net.theta.copy(), net.theta.copy()
+            tp[j] += h
+            tm[j] -= h
+            fd[j] = (loss(tp) - loss(tm)) / (2 * h)
+        got, want = MLP.from_theta(grad, net.shapes), MLP.from_theta(fd, net.shapes)
+        # the worst error of each layer's weights and of its biases
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            worst = max(worst, _rel_err(a, b))
     return CheckResult("mlp_backward", worst, tol)
 
 

@@ -12,13 +12,14 @@ each learner's slice is bitwise what a single-network call computes.
 Parameter layout: a network's parameters live in one flat array ``theta``,
 (n_params,) for one network and (M, n_params) for a stack. Per learner it
 holds one block per layer, ``[W_l | b_l]`` of shape (fan_out, fan_in + 1),
-row-major, so each row is a unit's weights followed by its bias. ``blocks``
-are views into ``theta``, and ``weights`` and ``biases`` are strided views
-into the blocks. :func:`backward_batch` returns its gradient in the same
+row-major, so each row is a unit's weights followed by its bias. ``theta``,
+its layer ``shapes`` and the ``blocks`` viewing it are all an MLP holds;
+``weights`` and ``biases`` are strided views of the blocks, made when read.
+:func:`backward_batch` returns its gradient as one array in the same
 layout, so :func:`sgd_step` updates every layer of every learner in one
 pass. The MLP owns ``theta``: construction copies the given layers into a
-new one, and each step makes a fresh one and rebinds the views, so arrays
-taken from an MLP keep their values. :meth:`MLP.from_theta` wraps an
+new one, and each step makes a fresh one and rebinds ``blocks`` to it, so
+arrays taken from an MLP keep their values. :meth:`MLP.from_theta` wraps an
 existing array without a copy, which is how an ensemble's per-learner views
 and row copies are made.
 
@@ -48,8 +49,6 @@ again at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -62,24 +61,20 @@ class DivergenceError(RuntimeError):
         self.mask = mask
 
 
-@dataclass
 class MLP:
-    """Layered affine maps; weights[l] is (fan_out, fan_in), biases[l] is (fan_out,).
+    """Layered affine maps over one flat ``theta`` (see the module docstring).
 
-    A stack of M networks is (M, fan_out, fan_in) and (M, fan_out) per layer.
-    Construction checks the shapes and values and packs the layers into a new
-    ``theta`` (see the module docstring), whose per-layer ``[W | b]`` blocks
-    are ``blocks``, of which ``weights`` and ``biases`` are strided views;
-    :func:`sgd_step` then replaces ``theta`` and the views with new arrays
-    and never writes into the old ones.
+    ``MLP(weights, biases)`` takes weights[l] as (fan_out, fan_in) and
+    biases[l] as (fan_out,), or (M, fan_out, fan_in) and (M, fan_out) per
+    layer for a stack of M networks. It checks their shapes and values and
+    copies them into a new ``theta``, whose per-layer ``[W | b]`` blocks are
+    ``blocks``; :func:`sgd_step` then replaces ``theta`` and ``blocks`` with
+    new arrays and never writes into the old ones.
     """
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        biases = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
+    def __init__(self, weights, biases):
+        weights = tuple(np.asarray(w, dtype=np.float64) for w in weights)
+        biases = tuple(np.asarray(b, dtype=np.float64) for b in biases)
         if len(weights) != len(biases) or not weights:
             raise ValueError("need matching, nonempty weight and bias lists")
         stack = weights[0].shape[:-2]
@@ -89,8 +84,11 @@ class MLP:
             if l > 0 and w.shape[-1] != weights[l - 1].shape[-2]:
                 raise ValueError(f"layer {l}: fan_in {w.shape[-1]} does not chain")
         self.shapes = tuple(w.shape[-2:] for w in weights)  # each layer's (fan_out, fan_in)
-        self.theta = _pack(weights, biases)
-        self.blocks, self.weights, self.biases = _views(self.theta, self.shapes)
+        self.theta = np.empty(stack + (sum(o * (i + 1) for o, i in self.shapes),))
+        self.blocks = _blocks(self.theta, self.shapes)
+        for block, w, b in zip(self.blocks, weights, biases):
+            block[..., :-1] = w
+            block[..., -1] = b
         finite = np.isfinite(self.theta).reshape(-1, self.theta.shape[-1]).all(axis=0)
         if not finite.all():
             raise ValueError(f"layer {_first_bad_layer(finite, self.shapes)}: non-finite parameters")
@@ -99,35 +97,34 @@ class MLP:
     def from_theta(cls, theta: np.ndarray, shapes: tuple[tuple[int, int], ...]) -> MLP:
         """The MLP over ``theta`` itself, with layers of (fan_out, fan_in) ``shapes``: no copy, no check."""
         m = object.__new__(cls)
-        m.shapes, m.theta = shapes, theta
-        m.blocks, m.weights, m.biases = _views(theta, shapes)
+        m.shapes, m.theta, m.blocks = shapes, theta, _blocks(theta, shapes)
         return m
 
     @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """Each layer's W, (..., fan_out, fan_in), as a strided view of its block."""
+        return tuple(b[..., :-1] for b in self.blocks)
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        """Each layer's b, (..., fan_out), as a strided view of its block."""
+        return tuple(b[..., -1] for b in self.blocks)
+
+    @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.shapes)
 
     @property
     def d_in(self) -> int:
-        return self.weights[0].shape[-1]
+        return self.shapes[0][1]
 
     @property
     def d_out(self) -> int:
-        return self.weights[-1].shape[-2]
+        return self.shapes[-1][0]
 
 
-def _pack(weights, biases) -> np.ndarray:
-    """A new ``theta`` holding per-layer (weight, bias) arrays of matching, checked stacks, in the module's layout."""
-    shapes = tuple(np.shape(w)[-2:] for w in weights)
-    theta = np.empty(np.shape(weights[0])[:-2] + (sum(o * (i + 1) for o, i in shapes),))
-    for block, w, b in zip(_views(theta, shapes)[0], weights, biases):
-        block[..., :-1] = w
-        block[..., -1] = b
-    return theta
-
-
-def _views(theta: np.ndarray, shapes) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Each layer's [W | b] block (..., fan_out, fan_in + 1) as a view into ``theta``, and its W and b as views of that."""
+def _blocks(theta: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    """Each layer's [W | b] block, (..., fan_out, fan_in + 1), as a view into ``theta``."""
     lead = theta.shape[:-1]
     blocks = []
     start = 0
@@ -135,23 +132,13 @@ def _views(theta: np.ndarray, shapes) -> tuple[tuple[np.ndarray, ...], ...]:
         stop = start + fan_out * (fan_in + 1)
         blocks.append(theta[..., start:stop].reshape(lead + (fan_out, fan_in + 1)))
         start = stop
-    return tuple(blocks), tuple(b[..., :-1] for b in blocks), tuple(b[..., -1] for b in blocks)
+    return tuple(blocks)
 
 
 def _first_bad_layer(finite: np.ndarray, shapes) -> int:
     """The layer holding the first False of one network's (n_params,) finiteness flags."""
     ends = np.cumsum([fan_out * (fan_in + 1) for fan_out, fan_in in shapes])
     return int(np.searchsorted(ends, np.argmin(finite), side="right"))
-
-
-class Gradients(tuple):
-    """:func:`backward_batch`'s (d_weights, d_biases): per-layer views into ``theta``, laid out as ``MLP.theta``."""
-
-    def __new__(cls, theta: np.ndarray, shapes: tuple[tuple[int, int], ...]):
-        blocks, d_weights, d_biases = _views(theta, shapes)
-        grads = super().__new__(cls, (d_weights, d_biases))
-        grads.theta, grads.shapes, grads.blocks = theta, shapes, blocks
-        return grads
 
 
 def init_mlp(d_in: int, hidden: list[int], d_out: int, seed: int) -> MLP:
@@ -232,17 +219,17 @@ def forward_batch(m: MLP, x: np.ndarray, work: dict | None = None) -> tuple[np.n
     return acts[-1], acts
 
 
-def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work: dict | None = None) -> Gradients:
-    """Backpropagate (N, O) output-space gradients; returns (d_weights, d_biases) summed over the batch.
+def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work: dict | None = None) -> np.ndarray:
+    """Backpropagate (N, O) output-space gradients; returns their sum over the batch, laid out as ``m.theta``.
 
     ``trace`` must come from :func:`forward_batch` on the same parameters;
     ``delta_out`` is d(loss)/d(output) per sample, (M, N, O) for a stack.
     Each layer's dW and db are one matmul, ``g @ trace[l]`` against the
     trace's ones column, written straight into that layer's block of one new
-    gradient array laid out as ``m.theta``; the returned pair is per-layer
-    views into it, which :func:`sgd_step` takes as one array. The propagated
+    gradient array, which :func:`sgd_step` takes whole;
+    ``MLP.from_theta(grad, m.shapes)`` reads it per layer. The propagated
     gradients live in ``work`` (default: a fresh one), unit-major like the
-    activations; the returned sums and the MLP do not. A layer with one
+    activations; the returned array and the MLP do not. A layer with one
     output unit propagates by a broadcast product, which gives the bits of
     its inner-dimension-1 matmul without its overhead.
     """
@@ -255,16 +242,17 @@ def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work:
         raise ValueError(
             f"delta_out shape {delta_out.shape} does not match output {trace[-1].shape}"
         )
-    grads = Gradients(np.empty(m.theta.shape), m.shapes)
+    grad = np.empty(m.theta.shape)
+    grad_blocks = _blocks(grad, m.shapes)
     # unit-major (O, ..., N), the same bits whatever the caller's layout
     g_out = delta_out.swapaxes(-1, -2).swapaxes(0, -2)
     g = _buffer(work, ("g", n_layers - 1), g_out.shape)
     np.copyto(g, g_out)
     for l in range(n_layers - 1, -1, -1):
-        np.matmul(g.swapaxes(0, -2), trace[l], out=grads.blocks[l])
+        np.matmul(g.swapaxes(0, -2), trace[l], out=grad_blocks[l])
         if l > 0:
             a = trace[l].swapaxes(-1, -2).swapaxes(0, -2)[:-1]  # the sigmoid output feeding layer l
-            w_t = m.weights[l].swapaxes(-1, -2)
+            w_t = m.blocks[l][..., :-1].swapaxes(-1, -2)
             g_in = _buffer(work, ("g", l - 1), a.shape)
             if w_t.shape[-1] == 1:
                 np.multiply(w_t.swapaxes(0, -2), g, out=g_in)  # unit-major (fan_in, ..., 1) * (1, ..., N)
@@ -274,29 +262,23 @@ def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work:
             d *= a
             g_in *= d
             g = g_in
-    return grads
+    return grad
 
 
-def sgd_step(m: MLP, grads: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]], alpha: float) -> None:
-    """One step theta <- theta - alpha * grad on ``m``, from :func:`backward_batch`'s pair or a hand-built one.
+def sgd_step(m: MLP, grad: np.ndarray, alpha: float) -> None:
+    """One step theta <- theta - alpha * grad on ``m``, from a gradient laid out as ``m.theta``.
 
     The update is one pass over every parameter into a fresh ``theta``, and
-    ``m`` is rebound to it and its views; the old arrays are not written
-    into, so views and copies taken before the step keep their values. A
-    hand-built (d_weights, d_biases) pair is packed into the layout first.
+    ``m`` is rebound to it and its blocks; the old arrays are not written
+    into, so views and copies taken before the step keep their values.
     A non-finite result raises :class:`DivergenceError` and leaves ``m``
     unchanged; on a stack its ``mask`` flags every learner with a non-finite
     parameter and its ``learner`` is the lowest of them.
     """
-    if alpha <= 0:
-        raise ValueError(f"learning rate must be positive, got {alpha}")
-    if isinstance(grads, Gradients) and grads.shapes == m.shapes and grads.theta.shape == m.theta.shape:
-        grad = grads.theta
-    else:
-        for l, (w, b, dw, db) in enumerate(zip(m.weights, m.biases, *grads, strict=True)):
-            if dw.shape != w.shape or db.shape != b.shape:
-                raise ValueError(f"layer {l}: gradient shape mismatch")
-        grad = _pack(*grads)
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {alpha}")
+    if grad.shape != m.theta.shape:
+        raise ValueError(f"gradient shape mismatch: {grad.shape} against theta {m.theta.shape}")
     # Overflow here is the designed divergence signal, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         theta = np.multiply(grad, alpha)
@@ -307,8 +289,7 @@ def sgd_step(m: MLP, grads: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]
         learner = None if mask is None else int(np.argmax(mask))
         layer = _first_bad_layer(finite if learner is None else finite[learner], m.shapes)
         raise DivergenceError(f"non-finite parameter after update in layer {layer}", learner, mask)
-    m.theta = theta
-    m.blocks, m.weights, m.biases = _views(theta, m.shapes)
+    m.theta, m.blocks = theta, _blocks(theta, m.shapes)
 
 
 def mlp_to_dict(m: MLP) -> dict:

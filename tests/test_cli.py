@@ -91,6 +91,10 @@ class TestUsage:
             ("train", ["--alpha", "nan"], "alpha must be finite"),
             ("train", ["--param", "nan"], "--param must be finite"),
             ("train", ["--param=-inf"], "--param must be finite"),
+            ("sweep", ["--grid", "0:inf:1"], "bad range"),
+            ("sweep", ["--grid", "0:nan:1"], "bad range"),
+            ("sweep", ["--grid", "nan:1:0.5"], "bad range"),
+            ("sweep", ["--grid", "0:1:inf"], "bad range"),
         ],
     )
     def test_non_finite_value_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, flags, message):

@@ -306,6 +306,11 @@ class TestDispatch:
         for method in ("independent", "bagging"):
             np.testing.assert_array_equal(learner_losses(preds, preds, t, MethodConfig(method)), sq)
 
+    @pytest.mark.parametrize("method,param", [("sea", np.nan), ("ncl", np.inf)])
+    def test_non_finite_param_rejected(self, method, param):
+        with pytest.raises(ValueError, match=f"{method} parameter must be finite"):
+            MethodConfig(method, param)
+
 
 class TestTrainEpoch:
     def test_two_linear_learners_hand_update(self):
@@ -416,13 +421,13 @@ class TestStackedStep:
         arrays = ens.net.weights + ens.net.biases
         values = [a.copy() for a in arrays]
         built = []
-        real = MLP.__post_init__
+        real = MLP.__init__
 
-        def counting(self):
+        def counting(self, *args):
             built.append(self)
-            real(self)
+            real(self, *args)
 
-        monkeypatch.setattr(MLP, "__post_init__", counting)
+        monkeypatch.setattr(MLP, "__init__", counting)
         train_epoch(ens, ds.features, ds.targets, 0.1)
         assert len(built) == 0
         for v, want in zip(views, view_values):
@@ -615,13 +620,13 @@ class TestWorkspace:
         kept = before.copy()
         train_epoch(ens, ds.features, ds.targets, 0.1)
         after, after_trace = predictions_batch(ens, ds.features)
-        grads = backward_batch(ens.net, after_trace, np.ones_like(after))
+        grad = backward_batch(ens.net, after_trace, np.ones_like(after))
         work = list(ens.work.values())
         assert work
         for a in [before, *before_trace[1:]]:
             for b in [after, *after_trace[1:], *work]:
                 assert not np.shares_memory(a, b)
-        for a in [after, *after_trace[1:], *grads[0], *grads[1]]:
+        for a in [after, *after_trace[1:], grad]:
             assert not any(np.shares_memory(a, b) for b in work)
         np.testing.assert_array_equal(before, kept)
         assert not np.array_equal(before, after)
@@ -691,6 +696,22 @@ class TestGradcheck:
         assert not results["nclstar_gradient"].passed
         assert results["sea_gradient"].passed and results["ncl_gradient"].passed
 
+    @pytest.mark.parametrize("fault", ["last bias zeroed", "one weight scaled"])
+    def test_wrong_backward_fails(self, monkeypatch, fault):
+        real = gradcheck.backward_batch
+
+        def wrong(net, trace, delta):
+            grad = real(net, trace, delta)
+            d = MLP.from_theta(grad, net.shapes)
+            if fault == "last bias zeroed":
+                d.biases[-1][...] = 0.0
+            else:
+                d.weights[0][0, 0] *= 1.01
+            return grad
+
+        monkeypatch.setattr(gradcheck, "backward_batch", wrong)
+        assert not gradcheck.check_mlp_backward(n_nets=10).passed
+
 
 # sea, M=2, hidden (3,), after one step; written while theta was laid out W_0, b_0, W_1, b_1 per learner
 OLD_LAYOUT_DOC = (
@@ -749,6 +770,12 @@ class TestCheckpoint:
         del doc[field]
         with pytest.raises(ValueError, match=f"lacks {field}$"):
             ensemble_from_json(json.dumps(doc))
+
+    def test_non_finite_param_rejected(self):
+        text = ensemble_to_json(build_ensemble(2, [4], 1, 3, MethodConfig("sea", 0.5), seed=11))
+        assert '"param": 0.5' in text
+        with pytest.raises(ValueError, match="parameter must be finite"):
+            ensemble_from_json(text.replace('"param": 0.5', '"param": NaN'))
 
     def test_format_1_rejected(self):
         doc = json.loads(ensemble_to_json(build_ensemble(2, [4], 1, 3, MethodConfig("sea", 0.5), seed=11)))

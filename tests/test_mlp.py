@@ -6,7 +6,6 @@ import pytest
 from sea_ensemble.mlp import (
     MLP,
     DivergenceError,
-    Gradients,
     _sigmoid,
     backward_batch,
     forward_batch,
@@ -18,7 +17,7 @@ from sea_ensemble.mlp import (
 
 
 def finite_difference_grads(m: MLP, x: np.ndarray, delta_out: np.ndarray, h: float = 1e-6):
-    """Central finite differences of the scalar loss <delta_out, y(theta)> on a batch.
+    """Central finite differences of the scalar loss <delta_out, y(theta)> on a batch, laid out as ``m.theta``.
 
     Independent of the backward pass: re-runs forward with each parameter
     nudged by +-h.
@@ -28,9 +27,9 @@ def finite_difference_grads(m: MLP, x: np.ndarray, delta_out: np.ndarray, h: flo
         y, _ = forward_batch(model, x)
         return float(np.vdot(delta_out, y))
 
-    d_weights, d_biases = [], []
+    grad = np.zeros_like(m.theta)
+    fd = MLP.from_theta(grad, m.shapes)
     for l in range(m.n_layers):
-        dw = np.zeros_like(m.weights[l])
         for idx in np.ndindex(*m.weights[l].shape):
             wp = [w.copy() for w in m.weights]
             wm = [w.copy() for w in m.weights]
@@ -38,9 +37,7 @@ def finite_difference_grads(m: MLP, x: np.ndarray, delta_out: np.ndarray, h: flo
             wm[l][idx] -= h
             lp = loss(MLP(tuple(wp), m.biases))
             lm = loss(MLP(tuple(wm), m.biases))
-            dw[idx] = (lp - lm) / (2 * h)
-        d_weights.append(dw)
-        db = np.zeros_like(m.biases[l])
+            fd.weights[l][idx] = (lp - lm) / (2 * h)
         for idx in np.ndindex(*m.biases[l].shape):
             bp = [b.copy() for b in m.biases]
             bm = [b.copy() for b in m.biases]
@@ -48,9 +45,8 @@ def finite_difference_grads(m: MLP, x: np.ndarray, delta_out: np.ndarray, h: flo
             bm[l][idx] -= h
             lp = loss(MLP(m.weights, tuple(bp)))
             lm = loss(MLP(m.weights, tuple(bm)))
-            db[idx] = (lp - lm) / (2 * h)
-        d_biases.append(db)
-    return d_weights, d_biases
+            fd.biases[l][idx] = (lp - lm) / (2 * h)
+    return grad
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -137,17 +133,15 @@ class TestBackward:
     def test_zero_delta(self):
         m = init_mlp(2, [5], 1, 9)
         _, trace = forward_batch(m, np.array([[0.1, 0.2]]))
-        d_weights, d_biases = backward_batch(m, trace, np.array([[0.0]]))
-        assert all((dw == 0).all() for dw in d_weights)
-        assert all((db == 0).all() for db in d_biases)
+        assert (backward_batch(m, trace, np.array([[0.0]])) == 0).all()
 
     def test_linear_layer_hand_case(self):
         # y = w x + b, loss gradient delta: dW = delta * x, db = delta
         m = MLP((np.array([[1.5]]),), (np.array([0.0]),))
         _, trace = forward_batch(m, np.array([[3.0]]))
-        d_weights, d_biases = backward_batch(m, trace, np.array([[2.0]]))
-        np.testing.assert_array_equal(d_weights[0], [[6.0]])
-        np.testing.assert_array_equal(d_biases[0], [2.0])
+        d = MLP.from_theta(backward_batch(m, trace, np.array([[2.0]])), m.shapes)
+        np.testing.assert_array_equal(d.weights[0], [[6.0]])
+        np.testing.assert_array_equal(d.biases[0], [2.0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
@@ -159,11 +153,11 @@ class TestBackward:
         x = rng.normal(size=(1, d_in))
         delta = rng.normal(size=(1, d_out))
         _, trace = forward_batch(m, x)
-        d_weights, d_biases = backward_batch(m, trace, delta)
-        fd_w, fd_b = finite_difference_grads(m, x, delta)
+        got = MLP.from_theta(backward_batch(m, trace, delta), m.shapes)
+        fd = MLP.from_theta(finite_difference_grads(m, x, delta), m.shapes)
         for l in range(m.n_layers):
-            assert relative_error(d_weights[l], fd_w[l]) < 1e-6
-            assert relative_error(d_biases[l], fd_b[l]) < 1e-6
+            assert relative_error(got.weights[l], fd.weights[l]) < 1e-6
+            assert relative_error(got.biases[l], fd.biases[l]) < 1e-6
 
     def test_batch_sums_samples(self):
         m = init_mlp(2, [4], 1, 1)
@@ -171,11 +165,11 @@ class TestBackward:
         xs = rng.normal(size=(6, 2))
         deltas = rng.normal(size=(6, 1))
         _, trace = forward_batch(m, xs)
-        dw_all, _ = backward_batch(m, trace, deltas)
+        dw_all = MLP.from_theta(backward_batch(m, trace, deltas), m.shapes).weights
         acc_w = [np.zeros_like(w) for w in m.weights]
         for i in range(6):
             _, tr = forward_batch(m, xs[i : i + 1])
-            dw_i, _ = backward_batch(m, tr, deltas[i : i + 1])
+            dw_i = MLP.from_theta(backward_batch(m, tr, deltas[i : i + 1]), m.shapes).weights
             for l in range(m.n_layers):
                 acc_w[l] += dw_i[l]
         for l in range(m.n_layers):
@@ -194,8 +188,7 @@ class TestBackward:
         assert delta.flags.c_contiguous and not view.flags.c_contiguous
         got_c = backward_batch(net, trace, delta)
         got_view = backward_batch(net, trace, view)
-        for a, b in zip(got_c[0] + got_c[1], got_view[0] + got_view[1]):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got_c, got_view)
 
     def test_shape_mismatch(self):
         m = init_mlp(2, [3], 1, 0)
@@ -216,17 +209,18 @@ class TestSgd:
 
     def test_arithmetic(self):
         m = MLP((np.array([[1.0]]),), (np.array([0.0]),))
-        g_w = (np.array([[2.0]]),)
-        g_b = (np.array([0.0]),)
-        sgd_step(m, (g_w, g_b), 0.1)
+        grad = np.zeros_like(m.theta)
+        MLP.from_theta(grad, m.shapes).weights[0][0, 0] = 2.0
+        sgd_step(m, grad, 0.1)
         assert m.weights[0][0, 0] == pytest.approx(0.8)
 
-    def test_zero_alpha_rejected(self):
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_zero_alpha_rejected(self, alpha):
         m = init_mlp(1, [], 1, 0)
         _, trace = forward_batch(m, np.array([[1.0]]))
         g = backward_batch(m, trace, np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            sgd_step(m, g, 0.0)
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_step(m, g, alpha)
 
     def test_two_half_steps_equal_one(self):
         one = init_mlp(2, [3], 2, 8)
@@ -241,7 +235,8 @@ class TestSgd:
 
     def test_divergence_detected(self):
         m = MLP((np.array([[1.0]]),), (np.array([0.0]),))
-        huge = ((np.array([[1e308]]),), (np.array([0.0]),))
+        huge = np.zeros_like(m.theta)
+        MLP.from_theta(huge, m.shapes).weights[0][0, 0] = 1e308
         with pytest.raises(DivergenceError):
             sgd_step(m, huge, 1e10)
         assert m.weights[0][0, 0] == 1.0
@@ -293,24 +288,24 @@ class TestStack:
 
     def test_divergence_names_lowest_learner(self):
         net = self.stack(5)
-        dw = [np.zeros_like(w) for w in net.weights]
+        grad = np.zeros_like(net.theta)
+        dw = MLP.from_theta(grad, net.shapes).weights
         dw[1][4] = 1e308
         dw[1][2] = 1e308
         dw[0][2, 1, 0] = -1e308
-        grads = (tuple(dw), tuple(np.zeros_like(b) for b in net.biases))
         with pytest.raises(DivergenceError, match="layer 0") as exc:
-            sgd_step(net, grads, 1e10)
+            sgd_step(net, grad, 1e10)
         assert exc.value.learner == 2
 
     def test_divergence_mask_names_every_learner(self):
         net = self.stack(9)
         before = [a.copy() for a in net.weights + net.biases]
-        dw = [np.zeros_like(w) for w in net.weights]
-        db = [np.zeros_like(b) for b in net.biases]
-        dw[1][7] = np.inf
-        db[0][2, 1] = np.nan
+        grad = np.zeros_like(net.theta)
+        d = MLP.from_theta(grad, net.shapes)
+        d.weights[1][7] = np.inf
+        d.biases[0][2, 1] = np.nan
         with pytest.raises(DivergenceError) as exc:
-            sgd_step(net, (tuple(dw), tuple(db)), 0.1)
+            sgd_step(net, grad, 0.1)
         assert exc.value.mask.tolist() == [i in (2, 7) for i in range(9)]
         assert exc.value.learner == 2
         for a, b in zip(net.weights + net.biases, before):
@@ -318,9 +313,11 @@ class TestStack:
 
     def test_single_network_has_no_mask(self):
         net = init_mlp(2, [3], 1, 0)
-        grads = (tuple(np.full_like(w, np.inf) for w in net.weights), tuple(np.zeros_like(b) for b in net.biases))
+        grad = np.zeros_like(net.theta)
+        for dw in MLP.from_theta(grad, net.shapes).weights:
+            dw[...] = np.inf
         with pytest.raises(DivergenceError) as exc:
-            sgd_step(net, grads, 0.1)
+            sgd_step(net, grad, 0.1)
         assert exc.value.learner is None and exc.value.mask is None
 
 
@@ -333,23 +330,18 @@ def stacked_net(m: int, widths=(3, 6, 4, 1), seed: int = 0) -> MLP:
 def matmul_backward(m: MLP, trace, delta):
     """backward_batch's arithmetic with every propagation written as the matmul ``swapaxes(w) @ g``."""
     g = np.ascontiguousarray(np.swapaxes(delta, -1, -2))
-    d_weights, d_biases = [None] * m.n_layers, [None] * m.n_layers
+    grad = np.empty(m.theta.shape)
+    blocks = MLP.from_theta(grad, m.shapes).blocks
     for l in range(m.n_layers - 1, -1, -1):
-        block = g @ trace[l]  # the trace's last column is ones, so the last column here is db
-        d_weights[l], d_biases[l] = block[..., :-1], block[..., -1]
+        blocks[l][...] = g @ trace[l]  # the trace's last column is ones, so the last column here is db
         if l > 0:
             a = np.swapaxes(trace[l], -1, -2)[..., :-1, :]
             g = (np.swapaxes(m.weights[l], -1, -2) @ g) * ((1.0 - a) * a)
-    return d_weights, d_biases
-
-
-def hand_pair(grads) -> tuple:
-    """The same gradient as a hand-built pair of fresh per-layer arrays."""
-    return tuple(dw.copy() for dw in grads[0]), tuple(db.copy() for db in grads[1])
+    return grad
 
 
 class TestFlatLayout:
-    """theta holds [W_0 | b_0], [W_1 | b_1], ... per learner; weights, biases and gradients are views of one array."""
+    """theta holds [W_0 | b_0], [W_1 | b_1], ... per learner; weights and biases view it; gradients share its layout."""
 
     @pytest.mark.parametrize("m", [None, 4])
     def test_layers_are_views_in_order(self, m):
@@ -384,46 +376,30 @@ class TestFlatLayout:
         net = init_mlp(3, [6, 4], 1, 2) if m is None else stacked_net(m)
         rng = np.random.default_rng(6)
         _, trace = forward_batch(net, rng.normal(size=(8, 3)))
-        grads = backward_batch(net, trace, rng.normal(size=trace[-1].shape))
-        assert isinstance(grads, Gradients) and grads.theta.shape == net.theta.shape
-        assert all(np.shares_memory(a, grads.theta) for a in grads[0] + grads[1])
-        assert not np.shares_memory(grads.theta, net.theta)
-
-    @pytest.mark.parametrize("m", [None, 5])
-    def test_hand_built_pair_steps_bitwise_equal(self, m):
-        net = init_mlp(3, [6, 4], 1, 2) if m is None else stacked_net(m)
-        rng = np.random.default_rng(7)
-        _, trace = forward_batch(net, rng.normal(size=(8, 3)))
-        grads = backward_batch(net, trace, rng.normal(size=trace[-1].shape))
-        own, hand = MLP(net.weights, net.biases), MLP(net.weights, net.biases)
-        sgd_step(own, grads, 0.3)
-        sgd_step(hand, hand_pair(grads), 0.3)
-        np.testing.assert_array_equal(own.theta, hand.theta)
-        assert not np.array_equal(own.theta, net.theta)
+        grad = backward_batch(net, trace, rng.normal(size=trace[-1].shape))
+        assert type(grad) is np.ndarray and grad.shape == net.theta.shape
+        assert not np.shares_memory(grad, net.theta)
 
     @pytest.mark.parametrize("m", [None, 6])
     def test_hand_built_pair_diverges_alike(self, m):
         net = init_mlp(3, [6, 4], 1, 2) if m is None else stacked_net(m)
         rng = np.random.default_rng(8)
         _, trace = forward_batch(net, rng.normal(size=(8, 3)))
-        grads = backward_batch(net, trace, rng.normal(size=trace[-1].shape))
+        grad = backward_batch(net, trace, rng.normal(size=trace[-1].shape))
+        d = MLP.from_theta(grad, net.shapes)
         if m is None:
-            grads[1][1][2] = np.inf  # layer 1's bias
+            d.biases[1][2] = np.inf  # layer 1's bias
         else:
-            grads[1][1][2:, 2] = np.inf  # layer 1's bias in learners 2..
-            grads[0][0][3] = np.nan  # and learner 3's first layer
+            d.biases[1][2:, 2] = np.inf  # layer 1's bias in learners 2..
+            d.weights[0][3] = np.nan  # and learner 3's first layer
         before = net.theta.copy()
-        reports = []
-        for g in (grads, hand_pair(grads)):
-            with pytest.raises(DivergenceError) as exc:
-                sgd_step(net, g, 0.1)
-            mask = None if exc.value.mask is None else exc.value.mask.tolist()
-            reports.append((str(exc.value), exc.value.learner, mask))
-            np.testing.assert_array_equal(net.theta, before)
-        assert reports[0] == reports[1]
+        with pytest.raises(DivergenceError) as exc:
+            sgd_step(net, grad, 0.1)
+        np.testing.assert_array_equal(net.theta, before)
+        mask = None if exc.value.mask is None else exc.value.mask.tolist()
         # the lowest diverging learner names its lowest non-finite layer
-        assert reports[0][0].endswith("layer 1")
-        assert reports[0][1:] == ((None, None) if m is None else (2, [i >= 2 for i in range(m)]))
+        assert str(exc.value).endswith("layer 1")
+        assert (exc.value.learner, mask) == ((None, None) if m is None else (2, [i >= 2 for i in range(m)]))
 
     def test_gradients_of_another_layout_are_checked(self):
         net = stacked_net(3, (3, 6, 4, 1))
@@ -452,9 +428,7 @@ class TestFlatLayout:
             patch.setattr(np, "multiply", counting)
             got = backward_batch(net, trace, delta)
         assert len(products) == (d_out == 1)
-        want = matmul_backward(net, trace, delta)
-        for a, b in zip(got[0] + got[1], want[0] + want[1]):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got, matmul_backward(net, trace, delta))
 
     def test_one_output_product_is_the_matmul(self):
         rng = np.random.default_rng(10)
