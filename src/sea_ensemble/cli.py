@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__, gradcheck, harness
 from .data import standardize
-from .ensemble import MethodConfig, build_ensemble, ensemble_to_json, predictions_batch, train_epoch
+from .ensemble import MethodConfig, build_ensemble, ensemble_to_json
+from .ensemble import train_epoch  # noqa: F401 (unused here; a test patches cli.train_epoch)
 from .harness import ExperimentConfig, SynthSpec
 
 log = logging.getLogger("sea_ensemble.cli")
@@ -37,6 +38,9 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 OUTDIR_ENV = "SEA_OUTDIR"
+
+# Points a lo:hi:step grid range may expand to; a longer one is taken for a typo.
+MAX_GRID_POINTS = 10_001
 
 
 class UsageError(Exception):
@@ -58,7 +62,9 @@ def _parse_float_list(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
         if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
             raise UsageError(f"bad range {text!r}")
-        count = int(round((hi - lo) / step))
+        count = round(min((hi - lo) / step, MAX_GRID_POINTS))  # min: an overflowed inf cannot round
+        if count >= MAX_GRID_POINTS:
+            raise UsageError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
         values = [round(lo + i * step, 10) for i in range(count + 1)]
         return [v for v in values if v <= hi + step * 1e-9]
     try:
@@ -198,23 +204,18 @@ def _cmd_train(args) -> int:
     if not np.isfinite(param):
         raise UsageError(f"--param must be finite, got {param}")
     m = cfg.m_list[0]
-    ds = harness.load_dataset(cfg)
-    train, _ = standardize(ds)
-    ens = build_ensemble(
-        train.n_features, list(cfg.hidden), train.n_outputs, m,
-        MethodConfig(cfg.method, param), seed=harness.fold_seed(cfg, 0),
-        n_train=train.n_samples,
-    )
+    train, _ = standardize(harness.load_dataset(cfg))
+    ens = build_ensemble(train.n_features, list(cfg.hidden), train.n_outputs, m, MethodConfig(cfg.method, param),
+                         seed=harness.fold_seed(cfg, 0), n_train=train.n_samples)
     log.info("training %s param=%g M=%d for %d epochs", cfg.method, param, m, cfg.epochs)
-    for _ in range(cfg.epochs):
-        for batch in harness.epoch_batches(cfg, train.n_samples):
-            train_epoch(ens, train.features[batch], train.targets[batch], cfg.alpha)
-    preds, _ = predictions_batch(ens, train.features)
-    metric = harness.metric_for_task(cfg.task)(preds.mean(axis=0), train.targets)
+    # the sweep's training loop, scoring the training set; a row that did not diverge trained ens in place
+    (row,) = harness.train_stack(cfg, ens, train, train, 0, float("nan"))
+    if row.diverged:
+        log.error("diverged after %d of %d epochs; no checkpoint written", row.epochs, cfg.epochs)
+        return EXIT_RUNTIME
     out = Path(cfg.outdir) / "checkpoint.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(ensemble_to_json(ens), encoding="utf-8", newline="\n")
-    log.info("final training metric %.6g; checkpoint at %s", metric, out)
+    harness._write_text(out, ensemble_to_json(ens))
+    log.info("final training metric %.6g; checkpoint at %s", row.metric, out)
     return EXIT_OK
 
 
@@ -257,6 +258,10 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_diversity(args) -> int:
     cfg = _config_from_args(args)
+    if cfg.method not in ("sea", "ncl"):
+        raise UsageError(f"no std prediction for method {cfg.method!r}; diversity takes sea or ncl")
+    if len(cfg.grid) < 3:
+        raise UsageError(f"diversity needs a grid of at least 3 points, got {len(cfg.grid)}")
     for m in cfg.m_list:
         profile = harness.diversity_profile(cfg, cfg.method, cfg.grid, m)
         harness.persist_diversity(profile, cfg.outdir, prefix=f"m{m}_")

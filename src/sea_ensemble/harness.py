@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -90,6 +91,14 @@ STACK_BYTES = 192 * 1024
 # configuration
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int; a float, even 3.0, is an error that names the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of the built-in synthetic regression dataset."""
@@ -98,6 +107,7 @@ class SynthSpec:
     noise_sd: float = 0.1
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_int("synth n", self.n))
         if self.n < 1:
             raise ValueError("synthetic dataset needs n >= 1")
         if not np.isfinite(self.noise_sd) or self.noise_sd < 0:
@@ -127,8 +137,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
-        object.__setattr__(self, "m_list", tuple(int(m) for m in self.m_list))
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "m_list", tuple(_as_int("m_list", m) for m in self.m_list))
+        object.__setattr__(self, "hidden", tuple(_as_int("hidden", h) for h in self.hidden))
+        for name in ("folds", "epochs", "seed", "batch_size", "workers"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if (self.dataset_path is None) == (self.synth is None):
             raise ValueError("exactly one of dataset_path or synth must be set")
         if not self.grid:
@@ -229,10 +242,6 @@ def ensemble_metric(preds: np.ndarray, targets: np.ndarray, task: str) -> float:
     if not rmse(fbar, targets) > preds.shape[0] * np.finfo(np.float64).eps * np.abs(preds).max():
         return float("nan")
     return metric_for_task(task)(fbar, targets)
-
-
-def lower_is_better(task: str) -> bool:
-    return task == REGRESSION
 
 
 # ---------------------------------------------------------------------------
@@ -430,42 +439,20 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     return SweepResult(rows, cfg.task, cfg.fingerprint(), time.perf_counter() - started)
 
 
-def aggregate_metric(rows: list[SweepRow], param: float, m: int | None = None) -> float:
-    """Mean metric over folds (and over M when m is None) for one grid point.
+def boundary_curve(result: SweepResult, m: int) -> list[tuple[float, float]]:
+    """(param, fold-mean metric) pairs of ensemble size m, sorted by param: the estimate_real_boundary input.
 
-    Diverged or beyond-cap rows enter as BOUNDARY_METRIC_CAP so that fully
-    diverged regions aggregate to a flat value.
+    Diverged or beyond-cap rows enter the mean as BOUNDARY_METRIC_CAP, so fully
+    diverged regions aggregate to a flat value. Regression means are then clipped
+    at TRIVIAL_RMSE_LEVEL: worse-than-untrained points share one plateau level.
     """
-    vals = [
-        r.metric if np.isfinite(r.metric) and r.metric < BOUNDARY_METRIC_CAP else BOUNDARY_METRIC_CAP
-        for r in rows
-        if r.param == param and (m is None or r.m == m)
-    ]
-    if not vals:
-        raise ValueError(f"no rows at param={param}, m={m}")
-    return float(np.mean(vals))
-
-
-def sweep_curve(
-    result: SweepResult, m: int | None = None, cap: float | None = None
-) -> list[tuple[float, float]]:
-    """(param, fold-mean metric) pairs sorted by param, capped for divergence.
-
-    ``cap`` clips the fold-mean from above after aggregation; boundary
-    estimation on regression sweeps passes TRIVIAL_RMSE_LEVEL so that
-    worse-than-untrained points collapse onto one plateau level.
-    """
-    params = sorted({r.param for r in result.rows})
-    curve = [(p, aggregate_metric(result.rows, p, m)) for p in params]
-    if cap is not None:
-        curve = [(p, min(v, cap)) for p, v in curve]
+    cap = TRIVIAL_RMSE_LEVEL if result.task == REGRESSION else float("inf")
+    curve = []
+    for param in sorted({r.param for r in result.rows if r.m == m}):
+        vals = [min(r.metric, BOUNDARY_METRIC_CAP) if np.isfinite(r.metric) else BOUNDARY_METRIC_CAP
+                for r in result.rows if r.param == param and r.m == m]
+        curve.append((param, min(float(np.mean(vals)), cap)))
     return curve
-
-
-def boundary_curve(result: SweepResult, m: int | None = None) -> list[tuple[float, float]]:
-    """The curve fed to estimate_real_boundary, with the task-appropriate cap."""
-    cap = TRIVIAL_RMSE_LEVEL if result.task == REGRESSION else None
-    return sweep_curve(result, m, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +506,7 @@ def estimate_real_boundary(curve, task: str) -> BoundaryEstimate:
     # to them anyway so the estimator is total (flagged by their spread).
     plateau = float(np.mean(metrics[start:]))
 
-    if lower_is_better(task):
+    if task == REGRESSION:
         qualifies = [v <= (1.0 - BOUNDARY_MARGIN) * plateau for v in metrics]
     else:
         qualifies = [v >= (1.0 + BOUNDARY_MARGIN) * plateau for v in metrics]
@@ -572,7 +559,7 @@ def diversity_profile(cfg: ExperimentConfig, method: str, grid, m: int) -> Diver
         mets.append(float(np.mean([r.metric for r in finite])))
     r2 = theory.linearity_score(np.asarray(grid), np.asarray(stds))
     c = theory.fit_std_scale(method, np.asarray(grid), m, np.asarray(stds))
-    predicted = theory.predicted_std_curve(method, np.asarray(grid), m, c).values
+    predicted = theory.predicted_std_curve(method, grid, m, c)
     emp = np.asarray(stds)
     rel_rms = float(np.sqrt(np.mean((predicted - emp) ** 2)) / np.sqrt(np.mean(emp**2)))
     return DiversityProfile(
@@ -644,10 +631,9 @@ def persist_bounds_table(m_lo: int, m_hi: int, path: str | Path) -> Path:
     """CSV of the closed-form bounds for every ensemble size in [m_lo, m_hi]."""
     if m_lo < 2 or m_hi < m_lo:
         raise ValueError(f"need 2 <= m_lo <= m_hi, got {m_lo}..{m_hi}")
-    reps = (theory.bound_report(m) for m in range(m_lo, m_hi + 1))
     path = Path(path)
-    _write_csv(path, BOUNDS_CSV_HEADER, ((r.m, r.ncl_lambda_hessian, r.ncl_lambda_sea, r.nclstar_gamma_hessian,
-                                          r.nclstar_gamma_sea, *r.sea_k_interval) for r in reps))
+    _write_csv(path, BOUNDS_CSV_HEADER, ((m, *theory.ncl_lambda_bounds(m)[::-1], *theory.nclstar_gamma_bounds(m)[::-1],
+                                          *theory.sea_k_bounds(m)) for m in range(m_lo, m_hi + 1)))
     return path
 
 

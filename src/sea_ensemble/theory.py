@@ -15,8 +15,6 @@ The tighter bound is the image of the sea interval under the frame mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _SINGULARITY_TOL = 1e-12
@@ -26,43 +24,6 @@ def _require_m(m: int) -> int:
     if m < 2:
         raise ValueError(f"ensemble size must be >= 2, got {m}")
     return int(m)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Endpoints plus openness flags; endpoint comparisons use exact formula values."""
-
-    lo: float
-    hi: float
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def contains(self, x: float) -> bool:
-        above = x > self.lo if self.lo_open else x >= self.lo
-        below = x < self.hi if self.hi_open else x <= self.hi
-        return above and below
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All four method bounds plus the sea interval for one ensemble size."""
-
-    m: int
-    sea_k_interval: tuple[float, float]
-    ncl_lambda_hessian: float
-    ncl_lambda_sea: float
-    nclstar_gamma_hessian: float
-    nclstar_gamma_sea: float
-
-
-@dataclass(frozen=True)
-class StdPrediction:
-    """A predicted diversity curve over a parameter grid."""
-
-    params: np.ndarray
-    values: np.ndarray
-    scale: float                      # the fitted constant C
-    curvature: np.ndarray | None = None  # ncl frame only
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +53,6 @@ def nclstar_gamma_bounds(m: int) -> tuple[float, float]:
     """(gamma_sea, gamma_hessian) = (M(M-1/2)/(M-1)^2, (M/(M-1))^2); the first is tighter."""
     m = _require_m(m)
     return (m * (m - 0.5) / (m - 1.0) ** 2, (m / (m - 1.0)) ** 2)
-
-
-def bound_report(m: int) -> BoundReport:
-    lam_sea, lam_hess = ncl_lambda_bounds(m)
-    gam_sea, gam_hess = nclstar_gamma_bounds(m)
-    return BoundReport(
-        m=m,
-        sea_k_interval=sea_k_bounds(m),
-        ncl_lambda_hessian=lam_hess,
-        ncl_lambda_sea=lam_sea,
-        nclstar_gamma_hessian=gam_hess,
-        nclstar_gamma_sea=gam_sea,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +104,8 @@ def _check_denominator(den, name: str, where: float) -> None:
         raise ZeroDivisionError(f"mapping singular near {name} = {where:.12g}")
 
 
-def effective_range(method: str, m: int) -> Interval:
-    """Practically swept interval, expressed in the k frame for cross-method comparison.
+def effective_range(method: str, m: int) -> tuple[float, float]:
+    """Practically swept closed interval (lo, hi), expressed in the k frame for cross-method comparison.
 
     sea sweeps [0, 2]; ncl and nclstar sweep their own parameter over [0, 1],
     whose images under the frame mappings are [0, 1] and [0, (M-1)/(2M-1)].
@@ -165,11 +113,11 @@ def effective_range(method: str, m: int) -> Interval:
     """
     m = _require_m(m)
     if method == "sea":
-        return Interval(0.0, 2.0)
+        return (0.0, 2.0)
     if method == "ncl":
-        return Interval(0.0, 1.0)
+        return (0.0, 1.0)
     if method == "nclstar":
-        return Interval(0.0, (m - 1.0) / (2.0 * m - 1.0))
+        return (0.0, (m - 1.0) / (2.0 * m - 1.0))
     raise ValueError(f"no effective range for method {method!r}")
 
 
@@ -227,6 +175,15 @@ def _require_scale(c: float) -> None:
         raise ValueError(f"scale constant must be positive, got {c}")
 
 
+def predicted_std_curve(method: str, params, m: int, c: float) -> np.ndarray:
+    """The predicted std over a parameter grid: the sea line in k or the ncl curve in lambda."""
+    if method == "sea":
+        return np.asarray(predicted_std_sea(params, m, c))
+    if method == "ncl":
+        return np.asarray(predicted_std_ncl(params, m, c))
+    raise ValueError(f"no std prediction for method {method!r}")
+
+
 def fit_std_scale(method: str, params, m: int, empirical) -> float:
     """Least-squares fit of the scale constant C against measured std values.
 
@@ -237,27 +194,11 @@ def fit_std_scale(method: str, params, m: int, empirical) -> float:
     empirical = np.asarray(empirical, dtype=np.float64)
     if params.shape != empirical.shape:
         raise ValueError("params and empirical std must have the same shape")
-    if method == "sea":
-        basis = predicted_std_sea(params, m, 1.0)
-    elif method == "ncl":
-        basis = predicted_std_ncl(params, m, 1.0)
-    else:
-        raise ValueError(f"no std prediction for method {method!r}")
+    basis = predicted_std_curve(method, params, m, 1.0)
     denom = float(np.sum(basis * basis))
     if denom == 0.0:
         raise ValueError("degenerate basis; cannot fit scale")
     return float(np.sum(basis * empirical) / denom)
-
-
-def predicted_std_curve(method: str, params, m: int, c: float) -> StdPrediction:
-    params = np.asarray(params, dtype=np.float64)
-    if method == "sea":
-        return StdPrediction(params, np.asarray(predicted_std_sea(params, m, c)), c)
-    if method == "ncl":
-        values = np.asarray(predicted_std_ncl(params, m, c))
-        curv = np.asarray(ncl_std_curvature(params, m, c))
-        return StdPrediction(params, values, c, curv)
-    raise ValueError(f"no std prediction for method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sea_ensemble import theory
-from sea_ensemble.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, _parse_float_list
+from sea_ensemble.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, MAX_GRID_POINTS, main, _parse_float_list
 from sea_ensemble.data import standardize
 from sea_ensemble.ensemble import MethodConfig, build_ensemble, ensemble_from_json, ensemble_to_json, train_epoch
 from sea_ensemble.harness import ExperimentConfig, SynthSpec, fold_seed, load_dataset
@@ -107,6 +107,29 @@ class TestUsage:
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_grid_range_over_limit_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_dataset(*args):
+            raise AssertionError("loaded the dataset before rejecting the config")
+
+        monkeypatch.setattr("sea_ensemble.harness.load_dataset", no_dataset)
+        assert len(_parse_float_list("0:1e4:1")) == MAX_GRID_POINTS
+        args = ["sweep", "--method", "sea", "--grid", "0:1e9:1", "--outdir", str(tmp_path)] + BASE
+        assert main(args) == EXIT_USAGE
+        assert f"more than {MAX_GRID_POINTS} points" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key,value", [("epochs", 3.0), ("m_list", [2.7]), ("synth", {"n": 40.0})])
+    def test_float_for_integer_config_field_rejected_before_training(self, tmp_path, capsys, monkeypatch, key, value):
+        def no_dataset(*args):
+            raise AssertionError("loaded the dataset before rejecting the config")
+
+        monkeypatch.setattr("sea_ensemble.harness.load_dataset", no_dataset)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["sweep", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_boundary_short_grid_rejected_before_training(self, tmp_path, capsys):
         args = ["boundary", "--method", "sea", "--grid", "0,0.5,1,1,1.5", "--outdir", str(tmp_path)] + BASE
         assert main(args) == EXIT_USAGE
@@ -127,6 +150,16 @@ class TestBounds:
             assert float(gam1) == theory.nclstar_gamma_bounds(m)[1]
             assert float(gam_sea) == theory.nclstar_gamma_bounds(m)[0]
             assert (float(k_lo), float(k_hi)) == theory.sea_k_bounds(m)
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        assert main(["bounds", "--m", "2..4", "--outdir", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "bounds.csv").read_text() == (
+            "M,lambda_1,lambda_sea,gamma_1,gamma_sea,k_lo,k_hi\n"
+            "2,2.0,1.5,4.0,3.0,-1.0,3.0\n"
+            "3,1.5,1.25,2.25,1.875,-0.5,2.5\n"
+            "4,1.3333333333333333,1.1666666666666667,1.7777777777777777,1.5555555555555556,"
+            "-0.3333333333333333,2.3333333333333335\n"
+        )
 
     def test_invalid_range_is_usage_error(self, tmp_path):
         assert main(["bounds", "--m", "1..3", "--outdir", str(tmp_path)]) == EXIT_USAGE
@@ -205,6 +238,15 @@ class TestTrain:
         assert mini == ensemble_to_json(ens)
         assert mini != full
 
+    def test_diverged_run_exits_2_without_checkpoint(self, tmp_path, caplog):
+        # nclstar far past its boundary: every parameter stays finite, but the
+        # predictions reach ~1e136 and the ensemble mean is rounding noise
+        args = ["train", "--method", "nclstar", "--param", "2", "--m", "5", "--alpha", "0.3", "--batch-size", "7",
+                "--synth-n", "200", "--epochs", "10", "--workers", "1", "--outdir", str(tmp_path)]
+        assert main(args) == EXIT_RUNTIME
+        assert not (tmp_path / "checkpoint.json").exists()
+        assert "diverged after 10 of 10 epochs" in caplog.text
+
 
 class TestBoundary:
     def test_emits_per_m_files(self, tmp_path):
@@ -242,6 +284,34 @@ class TestDiversity:
         assert main(args) == EXIT_OK
         meta = json.loads((tmp_path / "m3_diversity.json").read_text())
         assert 0.0 <= meta["r_squared"] <= 1.0
+
+
+    def test_ncl_prediction_is_the_closed_form(self, tmp_path):
+        args = ["diversity", "--method", "ncl", "--grid", "0,0.25,0.5", "--outdir", str(tmp_path)] + BASE
+        assert main(args) == EXIT_OK
+        meta = json.loads((tmp_path / "m3_diversity.json").read_text())
+        rows = [line.split(",") for line in (tmp_path / "m3_diversity.csv").read_text().splitlines()[1:]]
+        grid = np.array([float(r[0]) for r in rows])
+        predicted = [float(r[2]) for r in rows]
+        assert predicted == list(theory.predicted_std_ncl(grid, 3, meta["scale_c"]))
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--method", "nclstar", "--grid", "0,0.5,1"], "no std prediction for method 'nclstar'"),
+            (["--method", "independent", "--grid", "0,0.5,1"], "no std prediction for method 'independent'"),
+            (["--method", "bagging", "--grid", "0,0.5,1"], "no std prediction for method 'bagging'"),
+            (["--method", "sea", "--grid", "0,1"], "at least 3 points"),
+        ],
+    )
+    def test_bad_input_rejected_before_training(self, tmp_path, capsys, monkeypatch, flags, message):
+        def no_training(*args):
+            raise AssertionError("trained before rejecting the input")
+
+        monkeypatch.setattr("sea_ensemble.harness.train_stack", no_training)
+        assert main(["diversity", "--outdir", str(tmp_path)] + BASE + flags) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestGradcheck:

@@ -15,7 +15,6 @@ from sea_ensemble.harness import (
     SweepRow,
     SynthSpec,
     acc,
-    aggregate_metric,
     estimate_real_boundary,
     fold_seed,
     fold_split_for,
@@ -24,7 +23,6 @@ from sea_ensemble.harness import (
     persist_sweep,
     rmse,
     run_sweep,
-    sweep_curve,
 )
 
 # Literal seeds of the layout for master seed 0 (sha256-derived; see seeds.py).
@@ -182,6 +180,25 @@ class TestConfig:
     def test_synth_noise_finite(self, noise_sd):
         with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
             SynthSpec(noise_sd=noise_sd)
+
+    # int() would truncate 2.7 and 4.9 silently; a whole float such as 3.0 is refused too
+    @pytest.mark.parametrize(
+        "field,value",
+        [("epochs", 3.0), ("folds", 2.0), ("batch_size", 5.0), ("seed", 1.0), ("workers", 1.0),
+         ("m_list", (2.7,)), ("hidden", (4.9,))],
+    )
+    def test_integer_fields_reject_floats(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            small_cfg(**{field: value})
+
+    def test_synth_n_rejects_float(self):
+        with pytest.raises(TypeError, match="synth n must be an integer"):
+            ExperimentConfig.from_dict({"synth": {"n": 40.0}})
+
+    def test_integer_fields_keep_numpy_ints(self):
+        cfg = small_cfg(epochs=np.int64(3), m_list=np.array([2, 4]), hidden=[np.int32(5)])
+        assert (cfg.epochs, cfg.m_list, cfg.hidden) == (3, (2, 4), (5,))
+        assert type(cfg.epochs) is int and type(cfg.m_list[0]) is int
 
 
 class TestSeedIsolation:
@@ -441,7 +458,7 @@ class TestSweep:
 
     def test_mean_of_identical_rows(self):
         rows = [SweepRow("sea", 0.5, 5, f, 0.25, 0.1, 10, False) for f in range(3)]
-        assert aggregate_metric(rows, 0.5) == 0.25
+        assert harness.boundary_curve(harness.SweepResult(rows, "regression", "{}"), 5) == [(0.5, 0.25)]
 
     def test_deterministic_and_worker_invariant(self):
         cfg1 = small_cfg(epochs=5)
@@ -504,8 +521,8 @@ class TestSweep:
             SweepRow("sea", 0.0, 5, 0, 0.2, 0.1, 10, False),
             SweepRow("sea", 3.0, 5, 0, float("nan"), float("nan"), 4, True),
         ]
-        result = harness.SweepResult(rows, "regression", "{}")
-        curve = sweep_curve(result)
+        result = harness.SweepResult(rows, CLASSIFICATION, "{}")
+        curve = harness.boundary_curve(result, 5)
         assert curve[0] == (0.0, 0.2)
         assert curve[1] == (3.0, BOUNDARY_METRIC_CAP)
 
@@ -516,7 +533,7 @@ class TestSweep:
             SweepRow("sea", 2.0, 5, 0, float("nan"), float("nan"), 3, True),
         ]
         result = harness.SweepResult(rows, "regression", "{}")
-        curve = harness.boundary_curve(result)
+        curve = harness.boundary_curve(result, 5)
         assert curve == [(0.0, 0.4), (1.0, harness.TRIVIAL_RMSE_LEVEL), (2.0, harness.TRIVIAL_RMSE_LEVEL)]
 
     def test_metric_on_train_flag(self):
