@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__, gradcheck, harness
 from .data import standardize
 from .ensemble import MethodConfig, build_ensemble, ensemble_to_json
-from .ensemble import train_epoch  # noqa: F401 (unused here; a test patches cli.train_epoch)
 from .harness import ExperimentConfig, SynthSpec
 
 log = logging.getLogger("sea_ensemble.cli")
@@ -39,8 +38,10 @@ EXIT_RUNTIME = 2
 
 OUTDIR_ENV = "SEA_OUTDIR"
 
-# Points a lo:hi:step grid range may expand to; a longer one is taken for a typo.
+# Points a lo:hi:step grid range may expand to, and rows a bounds lo..hi
+# range may ask for; a longer range is taken for a typo.
 MAX_GRID_POINTS = 10_001
+MAX_BOUNDS_ROWS = 10_001
 
 
 class UsageError(Exception):
@@ -85,9 +86,12 @@ def _parse_m_range(text: str) -> tuple[int, int]:
         raise UsageError(f"M range syntax is lo..hi, got {text!r}")
     lo_s, _, hi_s = text.partition("..")
     try:
-        return int(lo_s), int(hi_s)
+        lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise UsageError(f"expected integers in {text!r}") from None
+    if hi - lo >= MAX_BOUNDS_ROWS:
+        raise UsageError(f"M range {text!r} has more than {MAX_BOUNDS_ROWS} sizes")
+    return lo, hi
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

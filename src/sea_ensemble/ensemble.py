@@ -15,8 +15,9 @@ learner with a per-learner output-space gradient chosen by method:
                   gradient differentiates through fbar (the (1 - 1/M) factor).
 * ``independent`` alias for sea with k = 0 (plain per-learner squared error);
                   shares the sea code path so the equivalence is structural.
-* ``bagging``     the independent gradient with each row weighted by how often
-                  the learner's bootstrap resample drew it.
+* ``bagging``     the independent gradient on the learner's bootstrap
+                  resample: each learner trains on the distinct rows it drew,
+                  each weighted by how often it drew it.
 
 Each loss is written once, in :func:`learner_losses`, over an (M, N, O)
 prediction stack; :func:`output_gradients` is its gradient under each
@@ -26,9 +27,18 @@ dropped throughout: learner i's parameters only feel d(e_i)/d(f_i).
 
 The M learners live in one stacked MLP, whose (M, n_params) parameter array
 holds an (M, fan_out, fan_in + 1) ``[W | b]`` block per layer, so a training
-step is one batched forward, backward and update with no loop over learners. A stack may hold P ensembles, one per parameter value, trained by
-the same step. The stack is the only form an ensemble has: it is built,
-checkpointed and reloaded as one MLP.
+step is one batched forward, backward and update with no loop over learners.
+A stack may hold P ensembles, one per parameter value, trained by the same
+step. The stack is the only form an ensemble has: it is built, checkpointed
+and reloaded as one MLP.
+
+Bagging's learners do not share a batch. A resample of n rows holds about
+1 - 1/e (63%) distinct rows, so each learner's layer-0 input is its own
+distinct drawn rows, padded to the widest learner's w with weight-0 copies
+of one of its own drawn rows; the draw counts weight the rows. Forward,
+backward and dW then run on w rows, not n. :func:`drawn_batch` gathers
+those (P*M, w, D) inputs; :func:`harness.train_stack` does it once per
+stack, not once per step.
 """
 
 from __future__ import annotations
@@ -78,7 +88,9 @@ class EnsembleModel:
 
     Ensemble p is learners [p*M, (p+1)*M) and trains at ``params[p]``; one
     ensemble is P = 1 at ``config.param``. Bagging's bootstrap resamples are
-    one (M, n) index array, shared by the P ensembles. ``work`` is the kernel
+    one (M, n) index array, shared by the P ensembles; ``rows`` and
+    ``counts``, (M, w) each, are derived from it once (:func:`drawn_rows`),
+    and are None for the other methods. ``work`` is the kernel
     workspace of :func:`train_epoch` (see :mod:`sea_ensemble.mlp`), one step's
     arrays of the last (stack, batch rows) shape; no other function uses it.
     """
@@ -112,6 +124,7 @@ class EnsembleModel:
                 raise ValueError(f"bootstrap must be (M={self.m}, n), got shape {idx.shape}")
             if idx.min() < 0 or idx.max() >= idx.shape[1]:
                 raise ValueError(f"bootstrap indices must lie in [0, {idx.shape[1]})")
+        self.rows, self.counts = (None, None) if idx is None else drawn_rows(idx)
 
     def take(self, points, params=None) -> EnsembleModel:
         """Ensembles ``points`` of this stack, copied in that order, at ``params`` (default: their own).
@@ -178,6 +191,34 @@ def bootstrap_indices(n: int, m: int, seed: int) -> list[np.ndarray]:
     return [rng.integers(0, n, size=n) for _ in range(m)]
 
 
+def drawn_rows(bootstrap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of M resamples of 0..n-1 as its distinct rows, ascending, and their draw counts: (M, w) each.
+
+    w is the most distinct rows any resample drew. A resample with fewer is
+    padded with copies of its first drawn row at count 0: an undrawn row
+    could overflow where the learner's own rows do not, and 0 * inf is NaN.
+    """
+    m, n = bootstrap.shape
+    counts = np.bincount((bootstrap + n * np.arange(m)[:, None]).ravel(), minlength=m * n).reshape(m, n)
+    drawn = counts > 0
+    rows = np.argsort(~drawn, axis=1, kind="stable")[:, : drawn.sum(axis=1).max()]  # drawn rows first
+    weights = np.take_along_axis(counts, rows, axis=1)
+    return np.where(weights > 0, rows, rows[:, :1]), weights.astype(np.float64)
+
+
+def drawn_batch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bagging's per-learner batch from the (n, D) inputs and (n, O) targets: (P*M, w, D) and (P*M, w, O).
+
+    Learner i of every ensemble reads its drawn rows, ``ens.rows[i]``. This
+    is a gather of every row a step touches, so a training loop calls it
+    once and passes the result to every :func:`train_epoch`.
+    """
+    if ens.bootstrap.max() >= len(x):
+        raise ValueError("bootstrap indices exceed batch size; bagging trains full-batch")
+    rows = np.tile(ens.rows, (len(ens.params), 1))
+    return x[rows], t[rows]
+
+
 # ---------------------------------------------------------------------------
 # predictions
 
@@ -230,11 +271,15 @@ def output_gradients(preds: np.ndarray, t: np.ndarray, config: MethodConfig, par
 
     Ensemble p, viewed as slice p of (P, M, N, O), takes its mean over its own
     M learners at ``params[p]`` (default: one ensemble at ``config.param``).
+    The targets ``t`` are (N, O), shared by every learner, or (P*M, N, O),
+    one row set per learner as bagging's drawn rows.
     The nclstar coefficient is computed as gamma (M-1)/M so that the identity
     with the ncl gradient at lambda = gamma (M-1)/M is bitwise exact.
     """
     p = np.asarray([config.param] if params is None else params).reshape(-1, 1, 1, 1)
     f = preds.reshape(len(p), -1, *preds.shape[1:])
+    if t.ndim == preds.ndim:  # per-learner targets, as bagging's drawn rows
+        t = t.reshape(f.shape)
     m = f.shape[1]
     err = f - t  # (P, M, N, O) broadcast of f_i - t
     fbar = np.add.reduce(f, axis=1, keepdims=True) / m  # the mean, without np.mean's Python-level overhead
@@ -259,35 +304,42 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
     All M learners are forwarded, per-learner output-space gradients are
     computed from the pre-update parameters, and every learner takes one SGD
     step at the end; a stack of P ensembles steps each at its own parameter.
-    Gradients are averaged over the batch. A bagging learner weights each row
-    by the number of times its bootstrap resample drew it, so its gradient is
-    sum_r c_r (f_r - t_r) / n. If any learner's update is non-finite, the
-    :class:`DivergenceError` flags every such learner and the stack is left
-    unchanged. The forward and backward arrays go to ``ens.work``, where the
-    next step of the same shape reuses them.
+    Gradients are averaged over the batch. A bagging learner steps on its
+    resample, n draws from the batch's rows: on the rows it drew, each
+    weighted by its draw count c_r, so its gradient is
+    sum_r c_r (f_r - t_r) / n. Bagging takes the batch and gathers the drawn
+    rows itself, or the (P*M, w, D) inputs and (P*M, w, O) targets of
+    :func:`drawn_batch`, gathered once for many steps. If any learner's
+    update is non-finite, the :class:`DivergenceError` flags every such
+    learner and the stack is left unchanged. The forward and backward arrays
+    go to ``ens.work``, where the next step of the same shape reuses them.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[:, None]
-    if x.shape[0] == 0:
+    if t.ndim == x.ndim - 1:
+        t = t[..., None]
+    if 0 in x.shape[:-1]:
         raise ValueError("empty batch")
-    if x.shape[0] != t.shape[0]:
-        raise ValueError(f"batch has {x.shape[0]} inputs but {t.shape[0]} targets")
-    n = x.shape[0]
-    if ens.bootstrap is not None and ens.bootstrap.max() >= n:
-        raise ValueError("bootstrap indices exceed batch size; bagging trains full-batch")
+    if x.shape[:-1] != t.shape[:-1]:
+        raise ValueError(f"batch has {x.shape[:-1]} inputs but {t.shape[:-1]} targets")
+    if ens.rows is None:
+        if x.ndim != 2:
+            raise ValueError(f"only bagging's learners read their own rows; {ens.config.method} takes an (N, D) batch")
+        n = x.shape[0]
+    else:
+        if x.ndim == 2:
+            x, t = drawn_batch(ens, x, t)
+        elif x.shape[:-1] != (len(ens.net.theta), ens.rows.shape[1]):
+            raise ValueError(f"bagging's drawn rows are ({len(ens.net.theta)}, {ens.rows.shape[1]}, D), got {x.shape}")
+        n = ens.bootstrap.shape[1]
 
     # Overflow in a diverging run surfaces as DivergenceError at the update.
     with np.errstate(over="ignore", invalid="ignore"):
         preds, trace = forward_batch(ens.net, x, ens.work)
         deltas = output_gradients(preds, t, ens.config, ens.params)
-        if ens.bootstrap is not None:
-            # row r of learner i counts how often resample i drew r
-            m = ens.m
-            offsets = n * np.arange(m)[:, None]
-            counts = np.bincount((ens.bootstrap + offsets).ravel(), minlength=m * n)
-            deltas *= np.tile(counts.reshape(m, n), (len(ens.params), 1))[:, :, None]
+        if ens.counts is not None:
+            per_ensemble = deltas.reshape(len(ens.params), *ens.counts.shape, -1)
+            deltas = (per_ensemble * ens.counts[:, :, None]).reshape(preds.shape)
         grads = backward_batch(ens.net, trace, deltas / n, ens.work)
     sgd_step(ens.net, grads, alpha)
 

@@ -44,6 +44,7 @@ from .ensemble import (
     EnsembleModel,
     MethodConfig,
     build_ensemble,
+    drawn_batch,
     predictions_batch,
     train_epoch,
     warn_outside_sea_interval,
@@ -330,23 +331,32 @@ def train_stack(
     that finishes with a non-finite or rounding-noise metric
     (:func:`ensemble_metric`) is flagged with all its epochs. Each row is
     bitwise what its ensemble trained alone gives, and carries ``epoch0``.
+    Bagging's per-learner rows are gathered once per stack, not per step.
     """
     params = [float(p) for p in ens.params]
     live = list(range(len(params)))  # the ensembles still on the stack, in stack order
     epochs = {}  # the completed epochs of the ensembles that left the stack
     rows = [None] * len(params)
+    batches = [(train.features[b], train.targets[b]) for b in epoch_batches(cfg, train.n_samples)]
+
+    def inputs(ens):
+        return batches if ens.rows is None else [drawn_batch(ens, x, t) for x, t in batches]
+
+    steps = inputs(ens)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            for batch in epoch_batches(cfg, train.n_samples):
+            for b in range(len(steps)):
                 while live:
                     try:
-                        train_epoch(ens, train.features[batch], train.targets[batch], cfg.alpha)
+                        train_epoch(ens, *steps[b], cfg.alpha)
                         break
                     except DivergenceError as exc:
                         out = exc.mask.reshape(len(live), ens.m).any(axis=1)
                         epochs.update({point: epoch for point, o in zip(live, out) if o})
                         live = [point for point, o in zip(live, out) if not o]
-                        ens = ens.take(np.flatnonzero(~out)) if live else ens
+                        if live:
+                            ens = ens.take(np.flatnonzero(~out))
+                            steps = inputs(ens)
         for j, point in enumerate(live):
             preds, _ = predictions_batch(ens.take([j]), eval_ds.features)
             value = ensemble_metric(preds, eval_ds.targets, eval_ds.task)

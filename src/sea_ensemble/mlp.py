@@ -29,11 +29,16 @@ sigmoid, ``1 - a``, ``g *= d``) run on contiguous memory, and the matmuls
 read and write the view ``buf.swapaxes(0, -2)``. A layer's input has a last
 row of ones, written once when its buffer is made, so a layer is one matmul
 with the bias inside the dot product, and ``g @ trace[l]`` is its dW and db
-at once. Hidden layers multiply by ``0.5 * [W | b]``: scaling by a power of
-two is exact, so that is ``0.5 * (W a + b)`` bit for bit, and the sigmoid
-``0.5 * (1 + tanh(z/2))`` starts at its tanh. Outputs, (N, O) or (M, N, O),
-and trace entries, (N, fan_in + 1) or (M, N, fan_in + 1) ending in the
-column of ones, are sample-major views of these buffers.
+at once. Hidden layers multiply by ``-[W | b]``: negation is exact, so that
+is ``-(W a + b)`` bit for bit, and the sigmoid ``1 / (1 + exp(-z))`` starts
+at its exp. Outputs, (N, O) or (M, N, O), and trace entries, (N, fan_in + 1)
+or (M, N, fan_in + 1) ending in the column of ones, are sample-major views of
+these buffers.
+
+Input: a stack's learners share one (N, D) batch, or each reads its own
+rows from an (M, N, D) one, as bagging's learners read their drawn rows.
+Both fill the layer-0 buffer, (D + 1, N) or (D + 1, M, N), and go through
+the same layer-0 matmul.
 
 Workspace: :func:`forward_batch` and :func:`backward_batch` write every
 (width, ..., N) array they make, the activations and the backward ``g`` and
@@ -156,17 +161,18 @@ def init_mlp(d_in: int, hidden: list[int], d_out: int, seed: int) -> MLP:
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # One pass and no mask: tanh saturates instead of overflowing. Within
-    # 2.3e-16 absolute of 1/(1+exp(-z)); exactly 0 below z ~ -38. The four
-    # steps of 0.5 * (1 + tanh(z/2)) run in ``out`` (which may be ``z``).
-    return _sigmoid_of_half(np.multiply(z, 0.5, out=out))
+    # One pass and no mask: exp overflows to inf far left, where 1 / (1 + inf)
+    # is the right 0. Within about 5e-16 relative of the sigmoid everywhere.
+    # The four steps of 1 / (1 + exp(-z)) run in ``out`` (which may be ``z``).
+    with np.errstate(over="ignore"):
+        return _sigmoid_of_negated(np.negative(z, out=out))
 
 
-def _sigmoid_of_half(h: np.ndarray) -> np.ndarray:
-    """sigmoid(2 h) in place: the last three steps of :func:`_sigmoid`."""
-    np.tanh(h, out=h)
+def _sigmoid_of_negated(h: np.ndarray) -> np.ndarray:
+    """sigmoid(-h) in place: the last three steps of :func:`_sigmoid`; the caller ignores exp's overflow."""
+    np.exp(h, out=h)
     h += 1.0
-    h *= 0.5
+    np.divide(1.0, h, out=h)
     return h
 
 
@@ -192,27 +198,31 @@ def forward_batch(m: MLP, x: np.ndarray, work: dict | None = None) -> tuple[np.n
     output, i.e. acts[l] feeds layer l; each layer input, the given batch
     included, carries a trailing column of ones, (N, fan_in + 1). Hidden
     activations are sigmoid, the output layer is linear. A stack of M
-    networks shares the input and returns (M, N, O) outputs; its trace
-    entries past the input are (M, N, fan_in + 1). Outputs and trace live in
+    networks takes the (N, D) batch shared, or an (M, N, D) one whose slice
+    i feeds learner i; it returns (M, N, O) outputs, and its trace entries
+    past a shared input are (M, N, fan_in + 1). Outputs and trace live in
     ``work`` (default: a fresh one), as views of its unit-major buffers.
     """
     work = {} if work is None else work
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != m.d_in:
-        raise ValueError(f"expected (N, {m.d_in}) input, got {x.shape}")
+    stack = m.theta.shape[:-1]
+    if x.ndim < 2 or x.shape[-1] != m.d_in or x.shape[:-2] not in ((), stack):
+        per_learner = f" or ({stack[0]}, N, {m.d_in})" if stack else ""
+        raise ValueError(f"expected (N, {m.d_in}){per_learner} input, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
-    stack, n = m.theta.shape[:-1], x.shape[0]
-    a = _buffer(work, ("a", 0), (m.d_in + 1, n), ones=True)
-    np.copyto(a[:-1], x.T)
+    n = x.shape[-2]
+    a = _buffer(work, ("a", 0), (m.d_in + 1,) + x.shape[:-2] + (n,), ones=True)
+    np.copyto(a[:-1], x.swapaxes(-1, -2).swapaxes(0, -2))
     acts = [_sample_major(a)]
-    for l, block in enumerate(m.blocks[:-1], start=1):
-        h = _buffer(work, ("a", l), (block.shape[-2] + 1,) + stack + (n,), ones=True)
-        # 0.5 * [W | b] is exact, so the matmul gives z / 2 and the sigmoid skips its first step
-        np.matmul(np.multiply(block, 0.5), a.swapaxes(0, -2), out=h[:-1].swapaxes(0, -2))
-        _sigmoid_of_half(h[:-1])
-        acts.append(_sample_major(h))
-        a = h
+    with np.errstate(over="ignore"):  # exp(-z) overflows to inf far left, where the sigmoid is 0
+        for l, block in enumerate(m.blocks[:-1], start=1):
+            h = _buffer(work, ("a", l), (block.shape[-2] + 1,) + stack + (n,), ones=True)
+            # -[W | b] is exact, so the matmul gives -z and the sigmoid skips its first step
+            np.matmul(np.negative(block), a.swapaxes(0, -2), out=h[:-1].swapaxes(0, -2))
+            _sigmoid_of_negated(h[:-1])
+            acts.append(_sample_major(h))
+            a = h
     y = _buffer(work, ("a", m.n_layers), (m.d_out,) + stack + (n,))
     np.matmul(m.blocks[-1], a.swapaxes(0, -2), out=y.swapaxes(0, -2))
     acts.append(_sample_major(y))

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from sea_ensemble import theory
-from sea_ensemble.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, MAX_GRID_POINTS, main, _parse_float_list
+from sea_ensemble.cli import (
+    EXIT_OK,
+    EXIT_RUNTIME,
+    EXIT_USAGE,
+    MAX_BOUNDS_ROWS,
+    MAX_GRID_POINTS,
+    _parse_float_list,
+    main,
+)
 from sea_ensemble.data import standardize
 from sea_ensemble.ensemble import MethodConfig, build_ensemble, ensemble_from_json, ensemble_to_json, train_epoch
 from sea_ensemble.harness import ExperimentConfig, SynthSpec, fold_seed, load_dataset
@@ -164,6 +172,18 @@ class TestBounds:
     def test_invalid_range_is_usage_error(self, tmp_path):
         assert main(["bounds", "--m", "1..3", "--outdir", str(tmp_path)]) == EXIT_USAGE
 
+    def test_range_over_limit_rejected_before_writing(self, tmp_path, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("built the table before rejecting the range")
+
+        assert main(["bounds", "--m", f"2..{MAX_BOUNDS_ROWS + 1}", "--outdir", str(tmp_path / "at")]) == EXIT_OK
+        assert len((tmp_path / "at" / "bounds.csv").read_text().split("\n")) == MAX_BOUNDS_ROWS + 2
+        monkeypatch.setattr("sea_ensemble.harness.persist_bounds_table", no_table)
+        for m in (f"2..{MAX_BOUNDS_ROWS + 2}", "2..1000000000"):
+            assert main(["bounds", "--m", m, "--outdir", str(tmp_path / "over")]) == EXIT_USAGE
+            assert f"more than {MAX_BOUNDS_ROWS} sizes" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
+
 
 class TestSweep:
     def test_independent_equals_sea_k0(self, tmp_path):
@@ -207,7 +227,7 @@ class TestTrain:
         def no_training(*args):
             raise AssertionError("trained before rejecting the flag")
 
-        monkeypatch.setattr("sea_ensemble.cli.train_epoch", no_training)
+        monkeypatch.setattr("sea_ensemble.harness.train_stack", no_training)
         args = ["train", "--method", "sea", "--param", "0.5", "--grid", "0.5", "--metric-on-train",
                 "--outdir", str(tmp_path)] + BASE
         assert main(args) == EXIT_USAGE

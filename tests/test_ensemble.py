@@ -12,6 +12,8 @@ from sea_ensemble.ensemble import (
     bootstrap_indices,
     build_ensemble,
     complementary_prediction,
+    drawn_batch,
+    drawn_rows,
     ensemble_from_json,
     ensemble_to_json,
     learner_losses,
@@ -368,15 +370,30 @@ class TestTrainEpoch:
         assert theory.empirical_std(preds) >= 0
 
 
-def hand_step(learners, config, x, t, alpha, bootstrap=None):
-    """One train_epoch done learner by learner with the single-network kernels; steps ``learners``."""
-    outs = [forward_batch(net, x) for net in learners]
-    deltas = output_gradients(np.stack([y for y, _ in outs]), t, config)
-    if bootstrap is not None:
-        deltas *= np.stack([np.bincount(idx, minlength=len(x)) for idx in bootstrap])[:, :, None]
-    for i, (net, (_, trace)) in enumerate(zip(learners, outs)):
-        sgd_step(net, backward_batch(net, trace, deltas[i] / len(x)), alpha)
+def hand_step(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) -> list[MLP]:
+    """One train_epoch done learner by learner with the single-network kernels: the stepped learners.
+
+    A bagging learner runs alone on its own drawn rows, weighted by their
+    draw counts; the stack itself is left as it was.
+    """
+    learners = ens.learners
+    if ens.rows is None:
+        outs = [forward_batch(net, x) for net in learners]
+        deltas = output_gradients(np.stack([y for y, _ in outs]), t, ens.config, ens.params)
+        n = len(x)
+    else:
+        m, n = ens.bootstrap.shape
+        outs = [forward_batch(net, x[ens.rows[j % m]]) for j, net in enumerate(learners)]
+        deltas = [(y - t[ens.rows[j % m]]) * ens.counts[j % m][:, None] for j, (y, _) in enumerate(outs)]
+    for net, (_, trace), delta in zip(learners, outs, deltas):
+        sgd_step(net, backward_batch(net, trace, delta / n), alpha)
     return learners
+
+
+def assert_learners_equal(ens: EnsembleModel, expected: list[MLP]) -> None:
+    assert len(ens.learners) == len(expected)
+    for got, want in zip(ens.learners, expected):
+        np.testing.assert_array_equal(got.theta, want.theta)
 
 
 class TestStackedStep:
@@ -391,12 +408,10 @@ class TestStackedStep:
         if rows is not None:
             x, t = x[3 : 3 + rows], t[3 : 3 + rows]
         ens = build_ensemble(2, [6, 4], 1, m, MethodConfig(method, param), seed=17, n_train=len(x))
-        expected = hand_step(ens.learners, ens.config, x, t, 0.1, ens.bootstrap)
+        expected = hand_step(ens, x, t, 0.1)
         train_epoch(ens, x, t, 0.1)
         assert len(ens.learners) == m
-        for got, want in zip(ens.learners, expected):
-            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-                np.testing.assert_array_equal(a, b)
+        assert_learners_equal(ens, expected)
 
     def test_divergence_names_learner_and_leaves_stack_unchanged(self):
         ds, _ = standardize(synth_regression(40, 0.1, 13))
@@ -506,12 +521,15 @@ def test_learners_are_views_and_take_copies():
 
 
 def allocating_step(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) -> None:
-    """train_epoch's step on a stack through the public kernels, which allocate every array."""
+    """train_epoch's step on a stack through the public kernels, which allocate every array.
+
+    Bagging's learners each step alone on their own drawn rows (:func:`hand_step`).
+    """
+    if ens.rows is not None:
+        ens.net = MLP.from_theta(np.stack([net.theta for net in hand_step(ens, x, t, alpha)]), ens.net.shapes)
+        return
     preds, trace = forward_batch(ens.net, x)
     deltas = output_gradients(preds, t, ens.config, ens.params)
-    if ens.bootstrap is not None:
-        counts = np.stack([np.bincount(idx, minlength=len(x)) for idx in ens.bootstrap])
-        deltas *= np.tile(counts, (len(ens.params), 1))[:, :, None]
     sgd_step(ens.net, backward_batch(ens.net, trace, deltas / len(x)), alpha)
 
 
@@ -681,6 +699,74 @@ class TestBagging:
         with pytest.raises(ValueError, match="exceed batch size"):
             train_epoch(ens, ds.features[:10], ds.targets[:10], 0.1)
 
+    def test_drawn_rows_are_the_distinct_draws(self):
+        boot = np.stack(bootstrap_indices(30, 6, 3))
+        rows, counts = drawn_rows(boot)
+        w = max(len(np.unique(idx)) for idx in boot)
+        assert rows.shape == counts.shape == (6, w)
+        for idx, r, c in zip(boot, rows, counts):
+            drawn = np.unique(idx)
+            k = len(drawn)
+            np.testing.assert_array_equal(r[:k], drawn)
+            np.testing.assert_array_equal(c[:k], np.bincount(idx)[drawn])
+            assert (r[k:] == drawn[0]).all() and (c[k:] == 0).all()  # padding: its own first row, weight 0
+            assert c.sum() == 30
+
+    @staticmethod
+    def ensemble_on(boot: np.ndarray) -> EnsembleModel:
+        net = build_ensemble(2, [6, 4], 1, len(boot), MethodConfig("independent"), seed=8).net
+        return EnsembleModel(net, MethodConfig("bagging"), seed=8, bootstrap=boot)
+
+    def test_resample_of_one_row(self):
+        # learner 1 drew row 7 n times: one distinct row, padded to the others' width
+        ds, _ = standardize(synth_regression(25, 0.1, 12))
+        boot = np.stack(bootstrap_indices(25, 3, 4))
+        boot[1] = 7
+        ens = self.ensemble_on(boot)
+        assert (ens.rows[1] == 7).all() and ens.counts[1].tolist() == [25.0] + [0.0] * (ens.rows.shape[1] - 1)
+        expected = hand_step(ens, ds.features, ds.targets, 0.1)
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        assert_learners_equal(ens, expected)
+
+    def test_resample_of_distinct_rows_is_independent(self):
+        # every resample a permutation: no padding, every count 1, so the step is the independent one
+        ds, _ = standardize(synth_regression(25, 0.1, 12))
+        rng = np.random.default_rng(2)
+        ens = self.ensemble_on(np.stack([rng.permutation(25) for _ in range(3)]))
+        assert ens.rows.tolist() == [list(range(25))] * 3 and (ens.counts == 1.0).all()
+        independent = build_ensemble(2, [6, 4], 1, 3, MethodConfig("independent"), seed=8)
+        expected = hand_step(ens, ds.features, ds.targets, 0.1)
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        train_epoch(independent, ds.features, ds.targets, 0.1)
+        assert_learners_equal(ens, expected)
+        np.testing.assert_array_equal(ens.net.theta, independent.net.theta)
+
+    def test_grid_copies_share_the_drawn_rows(self):
+        # P = 3 copies: the rows gathered once, per step, and learner by learner all agree bitwise
+        ds, _ = standardize(synth_regression(30, 0.1, 5))
+        base = build_ensemble(2, [6, 4], 1, 4, MethodConfig("bagging"), seed=8, n_train=ds.n_samples)
+        once, per_step = (base.take([0] * 3, [0.0, 0.5, 1.0]) for _ in range(2))
+        x_rows, t_rows = drawn_batch(once, ds.features, ds.targets)
+        assert x_rows.shape == (12, base.rows.shape[1], 2) and t_rows.shape == (12, base.rows.shape[1], 1)
+        for _ in range(3):
+            expected = hand_step(per_step, ds.features, ds.targets, 0.1)
+            train_epoch(once, x_rows, t_rows, 0.1)
+            train_epoch(per_step, ds.features, ds.targets, 0.1)
+            assert_learners_equal(per_step, expected)
+        np.testing.assert_array_equal(once.net.theta, per_step.net.theta)
+        for j in range(3):
+            np.testing.assert_array_equal(once.take([j]).net.theta, once.take([0]).net.theta)
+
+    def test_rows_of_another_stack_rejected(self):
+        ds, _ = standardize(synth_regression(30, 0.1, 5))
+        base = build_ensemble(2, [6, 4], 1, 4, MethodConfig("bagging"), seed=8, n_train=ds.n_samples)
+        x_rows, t_rows = drawn_batch(base, ds.features, ds.targets)  # 4 learners' rows
+        with pytest.raises(ValueError, match=r"drawn rows are \(8, "):
+            train_epoch(base.take([0, 0]), x_rows, t_rows, 0.1)
+        sea = build_ensemble(2, [6, 4], 1, 4, MethodConfig("sea", 0.5), seed=8)
+        with pytest.raises(ValueError, match="only bagging"):
+            train_epoch(sea, x_rows, t_rows, 0.1)
+
 
 class TestGradcheck:
     def test_wrong_convention_fails(self, monkeypatch):
@@ -726,7 +812,37 @@ OLD_LAYOUT_DOC = (
 )
 
 
+# bagging, M=2, hidden (2,), after one step on synth_regression(8, 0.1, 3); written while every bagging
+# learner ran on all n rows weighted by its draw counts, and the sigmoid was 0.5 * (1 + tanh(z/2))
+OLD_BAGGING_DOC = (
+    '{"bootstrap": [[7, 2, 6, 0, 4, 0, 2, 1], [4, 4, 4, 6, 7, 2, 4, 3]], "format": "sea-ensemble/2", '
+    '"method": "bagging", "net": {"format": "sea-mlp/1", "layers": [{"biases": [0.0003143150561688738, '
+    '-0.0005084847131225839, -0.001808996184254448, -0.0021924368818596524], "shape": [2, 2, 2], "weights": '
+    '[0.2649480040122516, 0.5791032205709363, 0.4855732212286612, 0.8433745344078343, 0.6374191349465949, '
+    '-1.1525352061465721, 0.47195961269035697, 0.39170232283789286]}, {"biases": [0.004010898030865073, '
+    '-0.00897987800067757], "shape": [2, 1, 2], "weights": [-0.8152630152916474, 0.5796852602036521, '
+    '0.3340292500499155, 0.9858325556666808]}]}, "param": 0.0, "seed": 5}'
+)
+# its theta after one more step there
+OLD_BAGGING_NEXT = [
+    [0.24470317661811655, 0.5754595140534758, 0.000940875864294322, 0.4976249142606277, 0.8440448557807076,
+     -0.0011935437273076239, -0.8028361043755966, 0.5978834874357689, 0.006295176653011114],
+    [0.640704461994415, -1.152947719855078, -0.003642400465605501, 0.4867615212561574, 0.38586927189628056,
+     -0.0043279931420685, 0.34194701097026264, 0.9869444774052031, -0.017789850414378035],
+]
+
+
 class TestCheckpoint:
+    def test_old_bagging_document_loads_and_trains(self):
+        ens = ensemble_from_json(OLD_BAGGING_DOC)
+        assert ensemble_to_json(ens) == OLD_BAGGING_DOC
+        assert ens.rows.tolist() == [[0, 1, 2, 4, 6, 7], [2, 3, 4, 6, 7, 2]]
+        assert ens.counts.tolist() == [[2, 1, 2, 1, 1, 1], [1, 1, 4, 1, 1, 0]]
+        ds, _ = standardize(synth_regression(8, 0.1, 3))
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        # the same step up to rounding: the rows are summed in another order, the sigmoid is another formula
+        np.testing.assert_allclose(ens.net.theta, OLD_BAGGING_NEXT, rtol=0, atol=1e-15)
+
     def test_document_of_the_old_layout_loads_and_writes_back(self):
         ens = ensemble_from_json(OLD_LAYOUT_DOC)
         layers = json.loads(OLD_LAYOUT_DOC)["net"]["layers"]

@@ -382,7 +382,7 @@ class TestColumn:
 
     @pytest.mark.parametrize("in_front", [False, True])
     def test_point_diverging_mid_epoch(self, monkeypatch, in_front):
-        # k = 8 diverges in step 5 of epoch 30 and the other points train on;
+        # k = 8 diverges in step 2 of epoch 32 and the other points train on;
         # in_front puts it first in the stack, so the points behind it shift
         failures = []
         steps = []
@@ -404,14 +404,14 @@ class TestColumn:
             monkeypatch.setattr(harness, "train_stack", reversed_stack)
         cfg = small_cfg(grid=(0.0, 0.5, 8.0), epochs=40, alpha=0.3, batch_size=7)
         column = self.assert_column_matches_cells(cfg, monkeypatch)
-        assert [(r.diverged, r.epochs) for r in column] == [(False, 40), (False, 40), (True, 29)]
+        assert [(r.diverged, r.epochs) for r in column] == [(False, 40), (False, 40), (True, 31)]
         done, stack = failures[0]
-        assert done == 29 * 6 + 4  # 6 steps an epoch over the 40 training rows
+        assert done == 31 * 6 + 1  # 6 steps an epoch over the 40 training rows
         assert stack == ([8.0, 0.5, 0.0] if in_front else [0.0, 0.5, 8.0])
         assert steps[done] == [p for p in stack if p != 8.0]  # the step retaken without it
 
     def test_workspace_replaced_when_point_leaves(self, monkeypatch):
-        # the run of test_point_diverging_mid_epoch: 9 learners until step 29 * 6 + 4, then 6
+        # the run of test_point_diverging_mid_epoch: 9 learners until step 31 * 6 + 1, then 6
         shapes = []
         real_step = harness.train_epoch
 
@@ -423,7 +423,7 @@ class TestColumn:
         cfg = small_cfg(grid=(0.0, 0.5, 8.0), epochs=40, alpha=0.3, batch_size=7)
         ds = load_dataset(cfg)
         harness.run_column(cfg, 3, ds, fold_split_for(cfg, ds.n_samples), 1)
-        done = 29 * 6 + 4
+        done = 31 * 6 + 1
         assert len({w for w, _ in shapes[:done]}) == 1 and len({w for w, _ in shapes[done:]}) == 1
         assert shapes[done - 1][0] != shapes[done][0]
         for step, (_, arrays) in enumerate(shapes):

@@ -105,6 +105,14 @@ class TestForward:
         y, _ = forward_batch(m, np.array([[1234.5]]))
         assert y[0, 0] == 1.0
 
+    def test_saturated_unit_without_warning(self):
+        # z = -1000: exp(-z) overflows to inf and the unit outputs exactly 0
+        m = MLP((np.array([[-1.0]]), np.array([[2.0]])), (np.array([0.0]), np.array([0.5])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, trace = forward_batch(m, np.array([[1000.0], [-1000.0]]))
+        assert y[:, 0].tolist() == [0.5, 2.5] and trace[1][:, 0].tolist() == [0.0, 1.0]
+
     def test_batch_matches_single(self):
         m = init_mlp(3, [6, 4], 2, 5)
         rng = np.random.default_rng(0)
@@ -254,7 +262,7 @@ class TestSigmoid:
 
     def test_in_place_is_bitwise_equal(self):
         z = np.random.default_rng(4).normal(0.0, 20.0, size=(3, 10, 200))
-        want = 0.5 * (1.0 + np.tanh(0.5 * z))
+        want = 1.0 / (1.0 + np.exp(-z))
         np.testing.assert_array_equal(_sigmoid(z), want)
         assert _sigmoid(z, out=z) is z
         np.testing.assert_array_equal(z, want)
@@ -262,8 +270,9 @@ class TestSigmoid:
     def test_matches_exp_forms(self):
         z = np.linspace(-50, 50, 200001)
         ref = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-        # absolute, not relative: far left the tanh form is exactly 0
-        assert np.abs(_sigmoid(z) - ref).max() <= 2.3e-16
+        # relative: the form 0.5 * (1 + tanh(z/2)) is off by more than 1e-15 of the value below z ~ -3,
+        # and is exactly 0 below z ~ -38
+        assert (np.abs(_sigmoid(z) - ref) <= 1e-15 * ref).all()
 
 
 class TestStack:
@@ -319,6 +328,28 @@ class TestStack:
         with pytest.raises(DivergenceError) as exc:
             sgd_step(net, grad, 0.1)
         assert exc.value.learner is None and exc.value.mask is None
+
+    def test_per_learner_input_matches_learners_alone(self):
+        net = stacked_net(4)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(4, 9, 3))
+        y, trace = forward_batch(net, x)
+        delta = rng.normal(size=y.shape)
+        grad = backward_batch(net, trace, delta)
+        for i, row in enumerate(net.theta):
+            alone = MLP.from_theta(row, net.shapes)
+            y_i, trace_i = forward_batch(alone, x[i])
+            np.testing.assert_array_equal(y[i], y_i)
+            np.testing.assert_array_equal(grad[i], backward_batch(alone, trace_i, delta[i]))
+
+    @pytest.mark.parametrize("shape", [(3, 9, 3), (5, 9, 3), (1, 9, 3), (2, 4, 9, 3), (9,)])
+    def test_input_of_another_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected \(N, 3\) or \(4, N, 3\) input"):
+            forward_batch(stacked_net(4), np.zeros(shape))
+
+    def test_single_network_takes_no_per_learner_input(self):
+        with pytest.raises(ValueError, match=r"expected \(N, 3\) input"):
+            forward_batch(init_mlp(3, [4], 1, 0), np.zeros((1, 9, 3)))
 
 
 def stacked_net(m: int, widths=(3, 6, 4, 1), seed: int = 0) -> MLP:
