@@ -95,19 +95,21 @@ def _parse_m_range(text: str) -> tuple[int, int]:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    # each dest that names an ExperimentConfig field overrides that field (see _config_from_args)
     p.add_argument("--config", help="JSON config file; flags override its keys")
     p.add_argument("--name", help="experiment name")
-    p.add_argument("--dataset", help="LIBSVM file path (replaces the synthetic dataset)")
+    p.add_argument("--dataset", dest="dataset_path", help="LIBSVM file path (replaces the synthetic dataset)")
     p.add_argument("--task", choices=["regression", "classification"])
     p.add_argument("--synth-n", type=int, help="synthetic dataset size")
     p.add_argument("--synth-noise", type=float, help="synthetic noise stddev")
     p.add_argument("--method", choices=["independent", "sea", "ncl", "nclstar", "bagging"])
-    p.add_argument("--grid", help="parameter grid: comma list or lo:hi:step, e.g. -0.5:2.5:0.1")
-    p.add_argument("--m", dest="m_list", help="comma list of ensemble sizes")
+    p.add_argument("--grid", type=_parse_float_list,
+                   help="parameter grid: comma list or lo:hi:step, e.g. -0.5:2.5:0.1")
+    p.add_argument("--m", dest="m_list", type=_parse_int_list, help="comma list of ensemble sizes")
     p.add_argument("--folds", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--alpha", type=float, help="learning rate")
-    p.add_argument("--hidden", help="comma list of hidden widths")
+    p.add_argument("--hidden", type=_parse_int_list, help="comma list of hidden widths")
     p.add_argument("--seed", type=int)
     p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or ./results)")
     p.add_argument("--batch-size", type=int)
@@ -157,26 +159,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {path} is not valid JSON: {exc}") from None
 
-    overrides = {
-        "name": args.name,
-        "dataset_path": args.dataset,
-        "task": args.task,
-        "method": args.method,
-        "folds": args.folds,
-        "epochs": args.epochs,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "outdir": args.outdir,
-        "batch_size": args.batch_size,
-        "workers": args.workers,
-        "metric_on_train": args.metric_on_train,
-    }
-    if args.grid is not None:
-        overrides["grid"] = _parse_float_list(args.grid)
-    if args.m_list is not None:
-        overrides["m_list"] = _parse_int_list(args.m_list)
-    if args.hidden is not None:
-        overrides["hidden"] = _parse_int_list(args.hidden)
     if args.synth_n is not None or args.synth_noise is not None:
         synth = dict(base.get("synth") or {})
         if args.synth_n is not None:
@@ -184,9 +166,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if args.synth_noise is not None:
             synth["noise_sd"] = args.synth_noise
         base["synth"] = synth
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
+    base.update((key, value) for key, value in vars(args).items()
+                if key in ExperimentConfig.__dataclass_fields__ and value is not None)
     if base.get("dataset_path"):
         base["synth"] = None
     if "outdir" not in base or base["outdir"] is None:

@@ -106,7 +106,7 @@ class EnsembleModel:
         self.config = config
         self.params = np.array([config.param])
         self.seed = seed
-        self.bootstrap = None if bootstrap is None else np.stack(bootstrap)
+        self.bootstrap = bootstrap
         if self.config.method in ADJUSTABLE and self.m < 2:
             raise ValueError(f"{self.config.method} requires M >= 2, got M={self.m}")
         if self.config.method == "sea":
@@ -183,12 +183,11 @@ def build_ensemble(
     return EnsembleModel(net, config, seed, bootstrap)
 
 
-def bootstrap_indices(n: int, m: int, seed: int) -> list[np.ndarray]:
-    """M independent with-replacement resamples of 0..n-1, each of length n."""
+def bootstrap_indices(n: int, m: int, seed: int) -> np.ndarray:
+    """M independent with-replacement resamples of 0..n-1 as one (M, n) array, drawn row by row from one generator."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return [rng.integers(0, n, size=n) for _ in range(m)]
+    return np.random.default_rng(seed).integers(0, n, size=(m, n))
 
 
 def drawn_rows(bootstrap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,11 +366,17 @@ def ensemble_to_json(ens: EnsembleModel) -> str:
 
 def ensemble_from_json(text: str) -> EnsembleModel:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != "sea-ensemble/2":
         raise ValueError(f"unsupported checkpoint format: {doc.get('format')!r}")
     missing = [key for key in ("net", "method", "param", "seed", "bootstrap") if key not in doc]
     if missing:
         raise ValueError(f"checkpoint lacks {', '.join(missing)}")
+    if not isinstance(doc["net"], dict):
+        raise ValueError(f"checkpoint net must be a JSON object, got {type(doc['net']).__name__}")
+    if type(doc["seed"]) is not int:  # not a bool, a float or a string
+        raise ValueError(f"checkpoint seed must be an integer, got {doc['seed']!r}")
     # no dtype: fractional indices stay floats and are rejected, not truncated
     bootstrap = None if doc["bootstrap"] is None else np.asarray(doc["bootstrap"])
     return EnsembleModel(

@@ -424,8 +424,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """The full (grid x m_list x folds) product for the configured method.
 
     One job per (M, fold) column, largest M first so the longest jobs start
-    first. The dataset is loaded and split once; with ``cfg.workers > 1``
-    each pool worker receives them when it starts, not with every job. A sea
+    first. The dataset is loaded and split once; with more than one worker
+    (``cfg.workers``, at most one per job) each pool worker receives them
+    when it starts, not with every job. A sea
     k outside the theoretical interval is logged here, once per (M, k).
     """
     started = time.perf_counter()
@@ -435,9 +436,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     jobs = [(m, fold) for m in sorted(cfg.m_list, reverse=True) for fold in range(cfg.folds)]
     ds = load_dataset(cfg)
     split = fold_split_for(cfg, ds.n_samples)
-    if cfg.workers > 1:
+    workers = min(cfg.workers, len(jobs))  # a pool starts all its workers at the first job
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_sweep_worker, initargs=(cfg, ds, split)
+            max_workers=workers, initializer=_init_sweep_worker, initargs=(cfg, ds, split)
         ) as pool:
             columns = list(pool.map(_sweep_job, *zip(*jobs)))
     else:
@@ -611,24 +613,6 @@ def persist_sweep(result: SweepResult, outdir: str | Path, prefix: str = "") -> 
     meta = {"format": CONFIG_FORMAT, "task": result.task, "config": json.loads(result.fingerprint)}
     _write_text(meta_path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return [csv_path, meta_path]
-
-
-def load_sweep(outdir: str | Path, prefix: str = "") -> SweepResult:
-    outdir = Path(outdir)
-    meta = json.loads((outdir / f"{prefix}sweep.json").read_text(encoding="utf-8"))
-    rows = []
-    text = (outdir / f"{prefix}sweep.csv").read_text(encoding="utf-8")
-    lines = text.strip().split("\n")
-    if lines[0] != SWEEP_CSV_HEADER:
-        raise ValueError(f"unexpected sweep header: {lines[0]!r}")
-    for line in lines[1:]:
-        method, param, m, fold, metric, std, epochs, diverged = line.split(",")
-        rows.append(
-            SweepRow(
-                method, float(param), int(m), int(fold), float(metric), float(std), int(epochs), diverged == "1"
-            )
-        )
-    return SweepResult(rows, meta["task"], json.dumps(meta["config"], sort_keys=True))
 
 
 def persist_boundary(est: BoundaryEstimate, outdir: str | Path, prefix: str = "") -> Path:

@@ -159,17 +159,6 @@ def predicted_std_ncl(lam, m: int, c: float):
     return float(out) if out.ndim == 0 else out
 
 
-def ncl_std_curvature(lam, m: int, c: float):
-    """|std''(lambda)| = 2C / |(lambda - 1) - 1/(M-1)|^3; grows with M on [0, 1]."""
-    m = _require_m(m)
-    _require_scale(c)
-    lam = np.asarray(lam, dtype=np.float64)
-    den = np.abs((lam - 1.0) - 1.0 / (m - 1.0)) ** 3
-    _check_denominator(den, "lambda", m / (m - 1.0))
-    out = 2.0 * c / den
-    return float(out) if out.ndim == 0 else out
-
-
 def _require_scale(c: float) -> None:
     if c <= 0:
         raise ValueError(f"scale constant must be positive, got {c}")

@@ -13,6 +13,7 @@ from sea_ensemble.cli import (
     MAX_BOUNDS_ROWS,
     MAX_GRID_POINTS,
     _parse_float_list,
+    build_parser,
     main,
 )
 from sea_ensemble.data import standardize
@@ -53,6 +54,12 @@ class TestUsage:
         cfg.write_text(json.dumps({"learning_rate": 0.1}))
         assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "boundary", "diversity"])
+    def test_flags_cover_every_config_field(self, command):
+        # _config_from_args overrides the fields its flags' dests name; synth comes from --synth-n/--synth-noise
+        dests = set(vars(build_parser().parse_args([command])))
+        assert set(ExperimentConfig.__dataclass_fields__) - {"synth"} <= dests
 
     def test_grid_range_syntax(self):
         got = _parse_float_list("0:2:0.5")

@@ -658,6 +658,15 @@ class TestBagging:
         for ia, ib in zip(a, b):
             np.testing.assert_array_equal(ia, ib)
 
+    @pytest.mark.parametrize("n, m, seed", [(17, 4, 5), (1, 1, 0), (100, 1, 3), (9, 7, 11), (64, 20, 2024)])
+    def test_bootstrap_seed_layout(self, n, m, seed):
+        # one generator for all M: row i is the generator's (i+1)-th size-n draw
+        rng = np.random.default_rng(seed)
+        boot = bootstrap_indices(n, m, seed)
+        assert isinstance(boot, np.ndarray) and boot.dtype.kind == "i" and boot.shape == (m, n)
+        for row in boot:
+            np.testing.assert_array_equal(row, rng.integers(0, n, size=n))
+
     def test_single_forced(self):
         assert bootstrap_indices(1, 1, 0)[0].tolist() == [0]
 
@@ -700,7 +709,7 @@ class TestBagging:
             train_epoch(ens, ds.features[:10], ds.targets[:10], 0.1)
 
     def test_drawn_rows_are_the_distinct_draws(self):
-        boot = np.stack(bootstrap_indices(30, 6, 3))
+        boot = bootstrap_indices(30, 6, 3)
         rows, counts = drawn_rows(boot)
         w = max(len(np.unique(idx)) for idx in boot)
         assert rows.shape == counts.shape == (6, w)
@@ -720,7 +729,7 @@ class TestBagging:
     def test_resample_of_one_row(self):
         # learner 1 drew row 7 n times: one distinct row, padded to the others' width
         ds, _ = standardize(synth_regression(25, 0.1, 12))
-        boot = np.stack(bootstrap_indices(25, 3, 4))
+        boot = bootstrap_indices(25, 3, 4)
         boot[1] = 7
         ens = self.ensemble_on(boot)
         assert (ens.rows[1] == 7).all() and ens.counts[1].tolist() == [25.0] + [0.0] * (ens.rows.shape[1] - 1)
@@ -885,6 +894,25 @@ class TestCheckpoint:
         doc = json.loads(ensemble_to_json(build_ensemble(2, [4], 1, 3, MethodConfig("sea", 0.5), seed=11)))
         del doc[field]
         with pytest.raises(ValueError, match=f"lacks {field}$"):
+            ensemble_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text, message", [("[]", "must be a JSON object, got list"),
+                                               ('"sea"', "must be a JSON object, got str")])
+    def test_document_not_an_object_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            ensemble_from_json(text)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("net", [], "net must be a JSON object, got list"),
+        ("net", "x", "net must be a JSON object, got str"),
+        ("seed", "x", "seed must be an integer, got 'x'"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+    ])
+    def test_malformed_field_named(self, field, value, message):
+        doc = json.loads(ensemble_to_json(build_ensemble(2, [4], 1, 3, MethodConfig("sea", 0.5), seed=11)))
+        doc[field] = value
+        with pytest.raises(ValueError, match=message):
             ensemble_from_json(json.dumps(doc))
 
     def test_non_finite_param_rejected(self):

@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 
@@ -19,7 +20,6 @@ from sea_ensemble.harness import (
     fold_seed,
     fold_split_for,
     load_dataset,
-    load_sweep,
     persist_sweep,
     rmse,
     run_sweep,
@@ -31,6 +31,33 @@ FOLD_SEEDS_0 = [331887026339243623, 3367651842999336005]
 SPLIT_10_SEED_0 = [[2, 3, 5, 6, 9], [0, 1, 4, 7, 8]]
 LEARNER_SEEDS_FOLD0 = [931938705055866163, 5006271187167075946]
 BOOTSTRAP_SEED_FOLD0 = 5654357067271204684
+
+
+@pytest.fixture
+def inline_pools(monkeypatch) -> list:
+    """Replace harness's ProcessPoolExecutor with a stand-in that runs the jobs here; returns the pools made."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.max_workers = max_workers
+            self.jobs = []
+            pools.append(self)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *job_args):
+            self.jobs.extend(zip(*job_args))
+            return map(fn, *job_args)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_worker_inputs", ())  # restored after the test
+    return pools
 
 
 def small_cfg(**kw) -> ExperimentConfig:
@@ -231,8 +258,7 @@ class TestSeedIsolation:
         ens = build_ensemble(2, [3], 1, 2, MethodConfig("bagging"), seed=fold_seed(cfg, 0), n_train=10)
         for learner, seed in zip(ens.learners, LEARNER_SEEDS_FOLD0):
             np.testing.assert_array_equal(learner.weights[0], init_mlp(2, [3], 1, seed).weights[0])
-        for got, want in zip(ens.bootstrap, bootstrap_indices(10, 2, BOOTSTRAP_SEED_FOLD0)):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(ens.bootstrap, bootstrap_indices(10, 2, BOOTSTRAP_SEED_FOLD0))
 
 
 class TestRunCv:
@@ -467,32 +493,20 @@ class TestSweep:
         rows2 = run_sweep(cfg2).rows
         assert rows1 == rows2
 
-    def test_one_job_per_column(self, monkeypatch):
-        submitted = []
-
-        class InlinePool:
-            """ProcessPoolExecutor stand-in that records the jobs and runs them here."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *job_args):
-                submitted.extend(zip(*job_args))
-                return map(fn, *job_args)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(harness, "_worker_inputs", ())  # restored after the test
+    def test_one_job_per_column(self, inline_pools):
         cfg = small_cfg(grid=(0.0, 0.5, 1.0), m_list=(2, 4, 3), folds=3, epochs=2, workers=2)
         rows = run_sweep(cfg).rows
-        assert submitted == [(m, f) for m in (4, 3, 2) for f in range(3)]  # largest M first
+        (pool,) = inline_pools
+        assert pool.jobs == [(m, f) for m in (4, 3, 2) for f in range(3)]  # largest M first
         assert len(rows) == 27
         assert rows == sorted(rows, key=SweepRow.sort_key)
+
+    @pytest.mark.parametrize("workers, pool_sizes", [(512, [4]), (3, [3]), (1, [])])
+    def test_pool_capped_at_job_count(self, inline_pools, workers, pool_sizes):
+        # a pool starts all max_workers processes at its first job; 2 sizes x 2 folds are 4 jobs
+        cfg = small_cfg(m_list=(2, 3), folds=2, epochs=1, workers=workers)
+        assert len(run_sweep(cfg).rows) == 2 * 2 * 2  # grid points x sizes x folds
+        assert [pool.max_workers for pool in inline_pools] == pool_sizes
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sea_interval_warning_once_per_m_and_k(self, caplog, workers):
@@ -592,9 +606,18 @@ class TestPersistence:
     def test_sweep_roundtrip(self, tmp_path):
         cfg = small_cfg(epochs=3)
         result = run_sweep(cfg)
-        persist_sweep(result, tmp_path)
-        back = load_sweep(tmp_path)
-        assert back == harness.SweepResult(result.rows, result.task, result.fingerprint)
+        csv_path, meta_path = persist_sweep(result, tmp_path)
+        header, *lines = csv_path.read_text(encoding="utf-8").splitlines()
+        assert header == harness.SWEEP_CSV_HEADER
+        rows = []
+        for line in lines:
+            method, param, m, fold, metric, std, epochs, diverged = line.split(",")
+            rows.append(SweepRow(method, float(param), int(m), int(fold), float(metric), float(std), int(epochs),
+                                 diverged == "1"))
+        assert rows == result.rows
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        assert meta["task"] == result.task
+        assert json.dumps(meta["config"], sort_keys=True) == result.fingerprint
 
     def test_byte_determinism(self, tmp_path):
         cfg = small_cfg(epochs=3)

@@ -229,19 +229,6 @@ class TestPredictedStd:
         with pytest.raises(ZeroDivisionError):
             theory.predicted_std_ncl(5.0 / 4.0, 5, 1.0)
 
-    def test_curvature_hand_value(self):
-        assert theory.ncl_std_curvature(0.0, 5, 1.0) == pytest.approx(1.024)
-
-    def test_curvature_is_numeric_second_derivative(self):
-        h = 1e-5
-        for lam in (0.0, 0.3, 0.8):
-            num = (
-                theory.predicted_std_ncl(lam + h, 7, 1.3)
-                - 2 * theory.predicted_std_ncl(lam, 7, 1.3)
-                + theory.predicted_std_ncl(lam - h, 7, 1.3)
-            ) / h**2
-            assert abs(num) == pytest.approx(theory.ncl_std_curvature(lam, 7, 1.3), rel=1e-4)
-
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             theory.predicted_std_sea(0.5, 5, 0.0)
