@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, gradcheck, harness
 from .data import standardize
-from .ensemble import MethodConfig, build_ensemble, ensemble_to_json
+from .ensemble import METHODS, MethodConfig, build_ensemble, ensemble_to_json
 from .harness import ExperimentConfig, SynthSpec
 
 log = logging.getLogger("sea_ensemble.cli")
@@ -102,7 +102,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--task", choices=["regression", "classification"])
     p.add_argument("--synth-n", type=int, help="synthetic dataset size")
     p.add_argument("--synth-noise", type=float, help="synthetic noise stddev")
-    p.add_argument("--method", choices=["independent", "sea", "ncl", "nclstar", "bagging"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--grid", type=_parse_float_list,
                    help="parameter grid: comma list or lo:hi:step, e.g. -0.5:2.5:0.1")
     p.add_argument("--m", dest="m_list", type=_parse_int_list, help="comma list of ensemble sizes")
@@ -182,9 +182,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_train(args) -> int:
-    if args.metric_on_train:
-        raise UsageError("train scores the data it trains on; --metric-on-train is for sweep, boundary and diversity")
     cfg = _config_from_args(args)
+    if cfg.metric_on_train:
+        raise UsageError("train scores the data it trains on; metric_on_train is for sweep, boundary and diversity")
     param = args.param if args.param is not None else cfg.grid[0]
     if not np.isfinite(param):
         raise UsageError(f"--param must be finite, got {param}")

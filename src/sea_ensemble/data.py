@@ -44,7 +44,6 @@ class Dataset:
     features: np.ndarray
     targets: np.ndarray
     task: str = REGRESSION
-    n_classes: int | None = None
 
     def __post_init__(self):
         feats = _readonly(np.atleast_2d(self.features))
@@ -64,11 +63,6 @@ class Dataset:
         if not np.isfinite(self.features).all() or not np.isfinite(self.targets).all():
             raise ValueError("dataset contains non-finite values")
         if self.task == CLASSIFICATION:
-            k = self.targets.shape[1]
-            if self.n_classes is None:
-                object.__setattr__(self, "n_classes", k)
-            elif self.n_classes != k:
-                raise ValueError(f"n_classes={self.n_classes} but targets have {k} columns")
             onehot = np.isin(self.targets, (0.0, 1.0)).all() and np.all(
                 self.targets.sum(axis=1) == 1.0
             )
@@ -242,8 +236,7 @@ def standardize(ds: Dataset, stats: NormStats | None = None) -> tuple[Dataset, N
         targs = _apply_columns(ds.targets, stats.target_mean, stats.target_std)
     else:
         targs = ds.targets
-    out = Dataset(ds.name, feats, targs, task=ds.task, n_classes=ds.n_classes)
-    return out, stats
+    return Dataset(ds.name, feats, targs, task=ds.task), stats
 
 
 def _apply_columns(a: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -277,7 +270,7 @@ def encode_classification(ds: Dataset) -> Dataset:
     values = np.unique(raw)
     ids = np.searchsorted(values, raw)
     onehot = one_hot_encode(ids, len(values))
-    return Dataset(ds.name, ds.features, onehot, task=CLASSIFICATION, n_classes=len(values))
+    return Dataset(ds.name, ds.features, onehot, task=CLASSIFICATION)
 
 
 def kfold_split(n: int, k: int, seed: int) -> FoldSplit:

@@ -46,20 +46,13 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import theory
-from .mlp import (
-    MLP,
-    backward_batch,
-    forward_batch,
-    init_mlp,
-    mlp_from_dict,
-    mlp_to_dict,
-    sgd_step,
-)
+from .mlp import MLP, backward_batch, forward_batch, init_mlp, sgd_step
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -96,7 +89,7 @@ class EnsembleModel:
     """
 
     def __init__(self, net: MLP, config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):
-        # MLP has checked the stack; a checkpoint may still hold a single network or no learner
+        # the checkpoint reader has checked the layers; a checkpoint may still hold a single network or no learner
         if net.theta.ndim != 2:
             raise ValueError(f"ensemble needs a stacked MLP, got layer 0 weights {net.weights[0].shape}")
         if len(net.theta) == 0:
@@ -136,14 +129,14 @@ class EnsembleModel:
         other = copy.copy(self)
         other.work = {}
         # one fancy index copies the rows; rows of a checked stack need no second check
-        other.net = MLP.from_theta(self.net.theta[rows], self.net.shapes)
+        other.net = MLP(self.net.theta[rows], self.net.shapes)
         other.params = self.params[points] if params is None else np.array(params, dtype=np.float64)
         return other
 
     @property
     def learners(self) -> list[MLP]:
         """Learner i as a single-network MLP whose arrays are views into the stack, for inspection."""
-        return [MLP.from_theta(row, self.net.shapes) for row in self.net.theta]
+        return [MLP(row, self.net.shapes) for row in self.net.theta]
 
     @property
     def m(self) -> int:
@@ -174,7 +167,7 @@ def build_ensemble(
     resamples (requires ``n_train``).
     """
     nets = [init_mlp(d_in, hidden, d_out, derive_seed(seed, "learner", i)) for i in range(m)]
-    net = MLP.from_theta(np.stack([n.theta for n in nets]), nets[0].shapes)
+    net = MLP(np.stack([n.theta for n in nets]), nets[0].shapes)
     bootstrap = None
     if config.method == "bagging":
         if n_train is None:
@@ -348,23 +341,27 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
 
 
 def ensemble_to_json(ens: EnsembleModel) -> str:
-    """The ``sea-ensemble/2`` checkpoint of one ensemble: its stacked net, method, parameter, seed and bootstrap."""
+    """The ``sea-ensemble/2`` checkpoint of one ensemble: its stacked net, method, parameter, seed and bootstrap.
+
+    The net is a ``sea-mlp/1`` list of layers, each its (M, fan_out, fan_in) shape and row-major values.
+    """
     if len(ens.params) != 1:
         raise ValueError(f"a checkpoint holds one ensemble, not a stack of {len(ens.params)}")
+    layers = [{"shape": list(w.shape), "weights": w.ravel().tolist(), "biases": b.ravel().tolist()}
+              for w, b in zip(ens.net.weights, ens.net.biases)]
     doc = {
         "format": "sea-ensemble/2",
         "method": ens.config.method,
         "param": float(ens.params[0]),
         "seed": ens.seed,
-        "net": mlp_to_dict(ens.net),
-        "bootstrap": None
-        if ens.bootstrap is None
-        else [[int(v) for v in idx] for idx in ens.bootstrap],
+        "net": {"format": "sea-mlp/1", "layers": layers},
+        "bootstrap": None if ens.bootstrap is None else ens.bootstrap.tolist(),
     }
     return json.dumps(doc, sort_keys=True)
 
 
 def ensemble_from_json(text: str) -> EnsembleModel:
+    """The ensemble of a ``sea-ensemble/2`` checkpoint; a missing or malformed field is named in a ``ValueError``."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
@@ -377,8 +374,43 @@ def ensemble_from_json(text: str) -> EnsembleModel:
         raise ValueError(f"checkpoint net must be a JSON object, got {type(doc['net']).__name__}")
     if type(doc["seed"]) is not int:  # not a bool, a float or a string
         raise ValueError(f"checkpoint seed must be an integer, got {doc['seed']!r}")
+    if type(doc["param"]) not in (int, float):
+        raise ValueError(f"checkpoint param must be a number, got {doc['param']!r}")
     # no dtype: fractional indices stay floats and are rejected, not truncated
     bootstrap = None if doc["bootstrap"] is None else np.asarray(doc["bootstrap"])
-    return EnsembleModel(
-        mlp_from_dict(doc["net"]), MethodConfig(doc["method"], doc["param"]), doc["seed"], bootstrap
-    )
+    return EnsembleModel(_net_from_doc(doc["net"]), MethodConfig(doc["method"], doc["param"]), doc["seed"], bootstrap)
+
+
+def _net_from_doc(net: dict) -> MLP:
+    """The MLP of a checkpoint's ``sea-mlp/1`` layer list, each layer's shape, chaining and values checked."""
+    if net.get("format") != "sea-mlp/1":
+        raise ValueError(f"unsupported checkpoint net format: {net.get('format')!r}")
+    if type(net.get("layers")) is not list or not net["layers"]:
+        raise ValueError("checkpoint net lacks layers")
+    shapes, blocks = [], []
+    for l, layer in enumerate(net["layers"]):
+        where = f"checkpoint net layer {l}"
+        missing = [key for key in ("shape", "weights", "biases") if type(layer) is not dict or key not in layer]
+        if missing:
+            raise ValueError(f"{where} lacks {', '.join(missing)}")
+        shape = layer["shape"]
+        if type(shape) is not list or len(shape) not in (2, 3) or any(type(n) is not int or n < 0 for n in shape):
+            raise ValueError(f"{where}: shape must be 2 or 3 counts, got {shape!r}")
+        *stack, fan_out, fan_in = shape
+        for key, count in (("weights", math.prod(shape)), ("biases", math.prod(shape[:-1]))):
+            values = layer[key]
+            if type(values) is not list or any(type(v) not in (int, float) for v in values):
+                raise ValueError(f"{where}: {key} must be a list of numbers")
+            if len(values) != count:
+                raise ValueError(f"{where}: {key} of {len(values)} values do not fit shape {shape}")
+        w, b = (np.asarray(layer[key], dtype=np.float64) for key in ("weights", "biases"))
+        if l and stack != list(blocks[0].shape[:-1]):
+            raise ValueError(f"{where}: stack {stack} does not match layer 0's {list(blocks[0].shape[:-1])}")
+        if l and fan_in != shapes[-1][0]:
+            raise ValueError(f"{where}: fan_in {fan_in} does not chain")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{where}: non-finite parameters")
+        block = np.concatenate([w.reshape(shape), b.reshape(stack + [fan_out, 1])], axis=-1)
+        blocks.append(block.reshape(stack + [fan_out * (fan_in + 1)]))
+        shapes.append((fan_out, fan_in))
+    return MLP(np.concatenate(blocks, axis=-1), tuple(shapes))

@@ -82,7 +82,7 @@ def check_mlp_backward(n_nets: int = 50, seed: int = 0, h: float = 1e-6, tol: fl
         grad = backward_batch(net, trace, delta)
 
         def loss(theta: np.ndarray) -> float:
-            y, _ = forward_batch(MLP.from_theta(theta, net.shapes), x)
+            y, _ = forward_batch(MLP(theta, net.shapes), x)
             return float(np.vdot(delta, y))
 
         fd = np.zeros_like(net.theta)
@@ -91,7 +91,7 @@ def check_mlp_backward(n_nets: int = 50, seed: int = 0, h: float = 1e-6, tol: fl
             tp[j] += h
             tm[j] -= h
             fd[j] = (loss(tp) - loss(tm)) / (2 * h)
-        got, want = MLP.from_theta(grad, net.shapes), MLP.from_theta(fd, net.shapes)
+        got, want = MLP(grad, net.shapes), MLP(fd, net.shapes)
         # the worst error of each layer's weights and of its biases
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             worst = max(worst, _rel_err(a, b))

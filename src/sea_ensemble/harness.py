@@ -41,6 +41,7 @@ from .data import (
 )
 from .ensemble import (
     ADJUSTABLE,
+    METHODS,
     EnsembleModel,
     MethodConfig,
     build_ensemble,
@@ -93,11 +94,13 @@ STACK_BYTES = 192 * 1024
 
 
 def _as_int(name: str, value) -> int:
-    """``value`` as an int; a float, even 3.0, is an error that names the field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a float, even 3.0, or a bool is an error that names the field."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,10 @@ class ExperimentConfig:
         for name in ("folds", "epochs", "seed", "batch_size", "workers"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if type(self.metric_on_train) is not bool:
+            raise TypeError(f"metric_on_train must be true or false, got {self.metric_on_train!r}")
         if (self.dataset_path is None) == (self.synth is None):
             raise ValueError("exactly one of dataset_path or synth must be set")
         if not self.grid:
@@ -282,10 +289,8 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     """
     train_idx = split.train_indices(fold)
     test_idx = split.test_indices(fold)
-    train_raw = Dataset(ds.name, ds.features[train_idx], ds.targets[train_idx],
-                        task=ds.task, n_classes=ds.n_classes)
-    test_raw = Dataset(ds.name, ds.features[test_idx], ds.targets[test_idx],
-                       task=ds.task, n_classes=ds.n_classes)
+    train_raw = Dataset(ds.name, ds.features[train_idx], ds.targets[train_idx], task=ds.task)
+    test_raw = Dataset(ds.name, ds.features[test_idx], ds.targets[test_idx], task=ds.task)
     train, stats = standardize(train_raw)
     test, _ = standardize(test_raw, stats)
     eval_ds = train if cfg.metric_on_train else test

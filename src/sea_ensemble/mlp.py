@@ -17,11 +17,13 @@ its layer ``shapes`` and the ``blocks`` viewing it are all an MLP holds;
 ``weights`` and ``biases`` are strided views of the blocks, made when read.
 :func:`backward_batch` returns its gradient as one array in the same
 layout, so :func:`sgd_step` updates every layer of every learner in one
-pass. The MLP owns ``theta``: construction copies the given layers into a
-new one, and each step makes a fresh one and rebinds ``blocks`` to it, so
-arrays taken from an MLP keep their values. :meth:`MLP.from_theta` wraps an
-existing array without a copy, which is how an ensemble's per-learner views
-and row copies are made.
+pass. ``MLP(theta, shapes)`` is the one constructor: it wraps the given
+array, with no copy and no check, so the caller decides what is copied:
+:func:`init_mlp` fills a new ``theta``, an ensemble wraps its stack, a row
+copy or a row view. The checkpoint reader in :mod:`sea_ensemble.ensemble` is
+where parameters enter from outside the program, and is where they are
+checked. Each step makes a fresh ``theta`` and rebinds ``blocks`` to it, so
+arrays taken from an MLP before the step keep their values.
 
 Activations: every array the kernels make is unit-major, (width, M, N) for a
 stack and (width, N) for one network, so the elementwise passes (the
@@ -69,41 +71,15 @@ class DivergenceError(RuntimeError):
 class MLP:
     """Layered affine maps over one flat ``theta`` (see the module docstring).
 
-    ``MLP(weights, biases)`` takes weights[l] as (fan_out, fan_in) and
-    biases[l] as (fan_out,), or (M, fan_out, fan_in) and (M, fan_out) per
-    layer for a stack of M networks. It checks their shapes and values and
-    copies them into a new ``theta``, whose per-layer ``[W | b]`` blocks are
-    ``blocks``; :func:`sgd_step` then replaces ``theta`` and ``blocks`` with
-    new arrays and never writes into the old ones.
+    ``MLP(theta, shapes)`` wraps ``theta`` itself, (n_params,) for one
+    network or (M, n_params) for a stack, with layers of (fan_out, fan_in)
+    ``shapes``: no copy, no check. Its per-layer ``[W | b]`` blocks are
+    ``blocks``; :func:`sgd_step` replaces ``theta`` and ``blocks`` with new
+    arrays and never writes into the old ones.
     """
 
-    def __init__(self, weights, biases):
-        weights = tuple(np.asarray(w, dtype=np.float64) for w in weights)
-        biases = tuple(np.asarray(b, dtype=np.float64) for b in biases)
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("need matching, nonempty weight and bias lists")
-        stack = weights[0].shape[:-2]
-        for l, (w, b) in enumerate(zip(weights, biases)):
-            if w.ndim not in (2, 3) or w.shape[:-2] != stack or b.shape != w.shape[:-1]:
-                raise ValueError(f"layer {l}: weight {w.shape} and bias {b.shape} mismatch")
-            if l > 0 and w.shape[-1] != weights[l - 1].shape[-2]:
-                raise ValueError(f"layer {l}: fan_in {w.shape[-1]} does not chain")
-        self.shapes = tuple(w.shape[-2:] for w in weights)  # each layer's (fan_out, fan_in)
-        self.theta = np.empty(stack + (sum(o * (i + 1) for o, i in self.shapes),))
-        self.blocks = _blocks(self.theta, self.shapes)
-        for block, w, b in zip(self.blocks, weights, biases):
-            block[..., :-1] = w
-            block[..., -1] = b
-        finite = np.isfinite(self.theta).reshape(-1, self.theta.shape[-1]).all(axis=0)
-        if not finite.all():
-            raise ValueError(f"layer {_first_bad_layer(finite, self.shapes)}: non-finite parameters")
-
-    @classmethod
-    def from_theta(cls, theta: np.ndarray, shapes: tuple[tuple[int, int], ...]) -> MLP:
-        """The MLP over ``theta`` itself, with layers of (fan_out, fan_in) ``shapes``: no copy, no check."""
-        m = object.__new__(cls)
-        m.shapes, m.theta, m.blocks = shapes, theta, _blocks(theta, shapes)
-        return m
+    def __init__(self, theta: np.ndarray, shapes: tuple[tuple[int, int], ...]):
+        self.shapes, self.theta, self.blocks = shapes, theta, _blocks(theta, shapes)
 
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
@@ -152,12 +128,12 @@ def init_mlp(d_in: int, hidden: list[int], d_out: int, seed: int) -> MLP:
     if any(w < 1 for w in widths):
         raise ValueError(f"all layer widths must be >= 1, got {widths}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+    shapes = tuple(zip(widths[1:], widths[:-1]))
+    m = MLP(np.zeros(sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes)), shapes)
+    for w, (fan_out, fan_in) in zip(m.weights, shapes):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MLP(tuple(weights), tuple(biases))
+        w[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return m
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -237,7 +213,7 @@ def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work:
     Each layer's dW and db are one matmul, ``g @ trace[l]`` against the
     trace's ones column, written straight into that layer's block of one new
     gradient array, which :func:`sgd_step` takes whole;
-    ``MLP.from_theta(grad, m.shapes)`` reads it per layer. The propagated
+    ``MLP(grad, m.shapes)`` reads it per layer. The propagated
     gradients live in ``work`` (default: a fresh one), unit-major like the
     activations; the returned array and the MLP do not. A layer with one
     output unit propagates by a broadcast product, which gives the bits of
@@ -300,30 +276,3 @@ def sgd_step(m: MLP, grad: np.ndarray, alpha: float) -> None:
         layer = _first_bad_layer(finite if learner is None else finite[learner], m.shapes)
         raise DivergenceError(f"non-finite parameter after update in layer {layer}", learner, mask)
     m.theta, m.blocks = theta, _blocks(theta, m.shapes)
-
-
-def mlp_to_dict(m: MLP) -> dict:
-    """Flat JSON-ready checkpoint of a network or a stack: layer shapes plus row-major value arrays."""
-    return {
-        "format": "sea-mlp/1",
-        "layers": [
-            {
-                "shape": list(w.shape),
-                "weights": [float(v) for v in w.ravel()],
-                "biases": [float(v) for v in b.ravel()],
-            }
-            for w, b in zip(m.weights, m.biases)
-        ],
-    }
-
-
-def mlp_from_dict(d: dict) -> MLP:
-    if d.get("format") != "sea-mlp/1":
-        raise ValueError(f"unsupported checkpoint format: {d.get('format')!r}")
-    weights = []
-    biases = []
-    for layer in d["layers"]:
-        shape = tuple(layer["shape"])
-        weights.append(np.asarray(layer["weights"], dtype=np.float64).reshape(shape))
-        biases.append(np.asarray(layer["biases"], dtype=np.float64).reshape(shape[:-1]))
-    return MLP(tuple(weights), tuple(biases))

@@ -133,7 +133,8 @@ class TestUsage:
         assert f"more than {MAX_GRID_POINTS} points" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("key,value", [("epochs", 3.0), ("m_list", [2.7]), ("synth", {"n": 40.0})])
+    @pytest.mark.parametrize("key,value", [("epochs", 3.0), ("m_list", [2.7]), ("synth", {"n": 40.0}),
+                                           ("method", "foo"), ("metric_on_train", "no"), ("epochs", True)])
     def test_float_for_integer_config_field_rejected_before_training(self, tmp_path, capsys, monkeypatch, key, value):
         def no_dataset(*args):
             raise AssertionError("loaded the dataset before rejecting the config")
@@ -235,9 +236,11 @@ class TestTrain:
             raise AssertionError("trained before rejecting the flag")
 
         monkeypatch.setattr("sea_ensemble.harness.train_stack", no_training)
-        args = ["train", "--method", "sea", "--param", "0.5", "--grid", "0.5", "--metric-on-train",
-                "--outdir", str(tmp_path)] + BASE
-        assert main(args) == EXIT_USAGE
+        args = ["train", "--method", "sea", "--param", "0.5", "--grid", "0.5", "--outdir", str(tmp_path)] + BASE
+        assert main(args + ["--metric-on-train"]) == EXIT_USAGE
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"metric_on_train": True}))
+        assert main(args + ["--config", str(config)]) == EXIT_USAGE
         assert not (tmp_path / "checkpoint.json").exists()
 
     def test_writes_loadable_checkpoint(self, tmp_path):

@@ -129,7 +129,7 @@ class TestOneHot:
     def test_label_remap_sorted(self):
         ds = parse_libsvm("-1 1:1\n1 1:2\n-1 1:3\n")
         enc = encode_classification(ds)
-        assert enc.n_classes == 2
+        assert enc.n_outputs == 2
         np.testing.assert_array_equal(enc.targets, [[1, 0], [0, 1], [1, 0]])
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from sea_ensemble.ensemble import (
     train_epoch,
 )
 from sea_ensemble.mlp import MLP, DivergenceError, backward_batch, forward_batch, init_mlp, sgd_step
+
+
+DELETED = object()
 
 
 def table_diff(preds: np.ndarray, t: np.ndarray, config: MethodConfig, h: float = 1e-3) -> np.ndarray:
@@ -245,7 +249,7 @@ class TestGradientRelations:
 
 class TestEnsemblePredict:
     def _two_constant_learners(self, y0: float, y1: float) -> EnsembleModel:
-        net = MLP((np.zeros((2, 1, 1)),), (np.array([[y0], [y1]]),))
+        net = MLP(np.array([[0.0, y0], [0.0, y1]]), ((1, 1),))  # per learner [W | b]: a constant b
         return EnsembleModel(net, MethodConfig("sea", 0.5), seed=0)
 
     def test_mean_of_equals(self):
@@ -316,7 +320,7 @@ class TestDispatch:
 
 class TestTrainEpoch:
     def test_two_linear_learners_hand_update(self):
-        net = MLP((np.array([[[0.5]], [[-0.25]]]),), (np.array([[0.1], [0.2]]),))
+        net = MLP(np.array([[0.5, 0.1], [-0.25, 0.2]]), ((1, 1),))  # per learner [W | b]
         ens = EnsembleModel(net, MethodConfig("sea", 0.5), seed=0)
         x = np.array([[2.0]])
         t = np.array([[1.0]])
@@ -415,10 +419,8 @@ class TestStackedStep:
 
     def test_divergence_names_learner_and_leaves_stack_unchanged(self):
         ds, _ = standardize(synth_regression(40, 0.1, 13))
-        net = build_ensemble(2, [6, 4], 1, 5, MethodConfig("independent"), seed=17).net
-        blown = net.weights[-1].copy()
-        blown[2] = 1e300
-        ens = EnsembleModel(MLP(net.weights[:-1] + (blown,), net.biases), MethodConfig("independent"), seed=17)
+        ens = build_ensemble(2, [6, 4], 1, 5, MethodConfig("independent"), seed=17)
+        ens.net.weights[-1][2] = 1e300
         before = [a.copy() for a in ens.net.weights + ens.net.biases]
         with pytest.raises(DivergenceError) as exc:
             train_epoch(ens, ds.features, ds.targets, 0.1)
@@ -457,7 +459,7 @@ class TestStackedStep:
             EnsembleModel(init_mlp(2, [3], 1, 0), MethodConfig("sea", 0.5), seed=0)
 
     def test_stack_of_no_learners_rejected(self):
-        net = MLP((np.zeros((0, 3, 2)), np.zeros((0, 1, 3))), (np.zeros((0, 3)), np.zeros((0, 1))))
+        net = MLP(np.zeros((0, 13)), ((3, 2), (1, 3)))
         with pytest.raises(ValueError, match="at least one learner"):
             EnsembleModel(net, MethodConfig("independent"), seed=0)
 
@@ -526,7 +528,7 @@ def allocating_step(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: flo
     Bagging's learners each step alone on their own drawn rows (:func:`hand_step`).
     """
     if ens.rows is not None:
-        ens.net = MLP.from_theta(np.stack([net.theta for net in hand_step(ens, x, t, alpha)]), ens.net.shapes)
+        ens.net = MLP(np.stack([net.theta for net in hand_step(ens, x, t, alpha)]), ens.net.shapes)
         return
     preds, trace = forward_batch(ens.net, x)
     deltas = output_gradients(preds, t, ens.config, ens.params)
@@ -797,7 +799,7 @@ class TestGradcheck:
 
         def wrong(net, trace, delta):
             grad = real(net, trace, delta)
-            d = MLP.from_theta(grad, net.shapes)
+            d = MLP(grad, net.shapes)
             if fault == "last bias zeroed":
                 d.biases[-1][...] = 0.0
             else:
@@ -902,17 +904,46 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             ensemble_from_json(text)
 
+    # field: a key of the document, or a dotted path into it; value DELETED removes it.
+    # The net's layers are M=3 stacks of shapes [3, 4, 2] and [3, 1, 4].
     @pytest.mark.parametrize("field, value, message", [
         ("net", [], "net must be a JSON object, got list"),
         ("net", "x", "net must be a JSON object, got str"),
         ("seed", "x", "seed must be an integer, got 'x'"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("seed", True, "seed must be an integer, got True"),
+        ("param", None, "param must be a number, got None"),
+        ("param", "x", "param must be a number, got 'x'"),
+        ("net.format", "other/9", "unsupported checkpoint net format: 'other/9'"),
+        ("net.layers", DELETED, "net lacks layers"),
+        ("net.layers.0", [], "net layer 0 lacks shape, weights, biases"),
+        ("net.layers.0.shape", DELETED, "net layer 0 lacks shape"),
+        ("net.layers.1.weights", DELETED, "net layer 1 lacks weights"),
+        ("net.layers.1.biases", DELETED, "net layer 1 lacks biases"),
+        ("net.layers.0.shape", [3, 4, "2"], "layer 0: shape must be 2 or 3 counts, got [3, 4, '2']"),
+        ("net.layers.0.weights", "x", "layer 0: weights must be a list of numbers"),
+        ("net.layers.0.weights", [0.5] * 5, "layer 0: weights of 5 values do not fit shape [3, 4, 2]"),
+        ("net.layers.0.biases", [0.0] * 4, "layer 0: biases of 4 values do not fit shape [3, 4, 2]"),
+        ("net.layers.1", {"shape": [2, 1, 4], "weights": [0.0] * 8, "biases": [0.0] * 2},
+         "layer 1: stack [2] does not match layer 0's [3]"),
+        ("net.layers.1", {"shape": [3, 1, 5], "weights": [0.0] * 15, "biases": [0.0] * 3},
+         "layer 1: fan_in 5 does not chain"),
+        ("net.layers.0.biases.5", float("nan"), "layer 0: non-finite parameters"),
+        ("net.layers.1.weights.2", float("inf"), "layer 1: non-finite parameters"),
+        ("net.layers.0.biases.3", "0.25", "layer 0: biases must be a list of numbers"),
+        ("net.layers.1.weights.0", True, "layer 1: weights must be a list of numbers"),
     ])
     def test_malformed_field_named(self, field, value, message):
         doc = json.loads(ensemble_to_json(build_ensemble(2, [4], 1, 3, MethodConfig("sea", 0.5), seed=11)))
-        doc[field] = value
-        with pytest.raises(ValueError, match=message):
+        *parents, key = (int(part) if part.isdigit() else part for part in field.split("."))
+        target = doc
+        for part in parents:
+            target = target[part]
+        if value is DELETED:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
             ensemble_from_json(json.dumps(doc))
 
     def test_non_finite_param_rejected(self):

@@ -31,6 +31,13 @@ FOLD_SEEDS_0 = [331887026339243623, 3367651842999336005]
 SPLIT_10_SEED_0 = [[2, 3, 5, 6, 9], [0, 1, 4, 7, 8]]
 LEARNER_SEEDS_FOLD0 = [931938705055866163, 5006271187167075946]
 BOOTSTRAP_SEED_FOLD0 = 5654357067271204684
+# init_mlp(2, [3], 1, LEARNER_SEEDS_FOLD0[0]).theta, one unit's Glorot weights and zero bias a line
+THETA_LEARNER0_FOLD0 = [
+    0.42248104174297607, -0.2202514508099186, 0.0,
+    0.33167349329318263, 0.3242205971780434, 0.0,
+    -0.13224146639584555, 0.9156182188732962, 0.0,
+    -1.126886829693777, -0.48405767110462206, -0.27871522284696115, 0.0,
+]
 
 
 @pytest.fixture
@@ -255,6 +262,7 @@ class TestSeedIsolation:
         assert [fold.tolist() for fold in split.folds] == SPLIT_10_SEED_0
         assert [derive_seed(FOLD_SEEDS_0[0], "learner", i) for i in range(2)] == LEARNER_SEEDS_FOLD0
         assert derive_seed(FOLD_SEEDS_0[0], "bootstrap") == BOOTSTRAP_SEED_FOLD0
+        assert init_mlp(2, [3], 1, LEARNER_SEEDS_FOLD0[0]).theta.tolist() == THETA_LEARNER0_FOLD0
         ens = build_ensemble(2, [3], 1, 2, MethodConfig("bagging"), seed=fold_seed(cfg, 0), n_train=10)
         for learner, seed in zip(ens.learners, LEARNER_SEEDS_FOLD0):
             np.testing.assert_array_equal(learner.weights[0], init_mlp(2, [3], 1, seed).weights[0])
@@ -323,7 +331,7 @@ def separate_cell(cfg: ExperimentConfig, param: float, m: int, fold: int) -> Swe
     """One sweep cell built on its own: its own standardization, ensemble and epoch-0 pass."""
     ds = load_dataset(cfg)
     split = fold_split_for(cfg, ds.n_samples)
-    train_raw, test_raw = (Dataset(ds.name, ds.features[i], ds.targets[i], task=ds.task, n_classes=ds.n_classes)
+    train_raw, test_raw = (Dataset(ds.name, ds.features[i], ds.targets[i], task=ds.task)
                            for i in (split.train_indices(fold), split.test_indices(fold)))
     train, stats = standardize(train_raw)
     test, _ = standardize(test_raw, stats)

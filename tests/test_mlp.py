@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sea_ensemble.ensemble import EnsembleModel, MethodConfig, ensemble_from_json, ensemble_to_json
 from sea_ensemble.mlp import (
     MLP,
     DivergenceError,
@@ -10,8 +11,6 @@ from sea_ensemble.mlp import (
     backward_batch,
     forward_batch,
     init_mlp,
-    mlp_from_dict,
-    mlp_to_dict,
     sgd_step,
 )
 
@@ -28,24 +27,11 @@ def finite_difference_grads(m: MLP, x: np.ndarray, delta_out: np.ndarray, h: flo
         return float(np.vdot(delta_out, y))
 
     grad = np.zeros_like(m.theta)
-    fd = MLP.from_theta(grad, m.shapes)
-    for l in range(m.n_layers):
-        for idx in np.ndindex(*m.weights[l].shape):
-            wp = [w.copy() for w in m.weights]
-            wm = [w.copy() for w in m.weights]
-            wp[l][idx] += h
-            wm[l][idx] -= h
-            lp = loss(MLP(tuple(wp), m.biases))
-            lm = loss(MLP(tuple(wm), m.biases))
-            fd.weights[l][idx] = (lp - lm) / (2 * h)
-        for idx in np.ndindex(*m.biases[l].shape):
-            bp = [b.copy() for b in m.biases]
-            bm = [b.copy() for b in m.biases]
-            bp[l][idx] += h
-            bm[l][idx] -= h
-            lp = loss(MLP(m.weights, tuple(bp)))
-            lm = loss(MLP(m.weights, tuple(bm)))
-            fd.biases[l][idx] = (lp - lm) / (2 * h)
+    for j in range(len(grad)):
+        tp, tm = m.theta.copy(), m.theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        grad[j] = (loss(MLP(tp, m.shapes)) - loss(MLP(tm, m.shapes))) / (2 * h)
     return grad
 
 
@@ -83,31 +69,25 @@ class TestInit:
 
 class TestForward:
     def test_affine_identity(self):
-        m = MLP((np.array([[2.0]]),), (np.array([1.0]),))
+        m = MLP(np.array([2.0, 1.0]), ((1, 1),))  # one [W | b] block: y = 2 x + 1
         y, _ = forward_batch(m, np.array([[3.0]]))
         assert y[0, 0] == 7.0
 
     def test_zero_net(self):
-        m = MLP(
-            (np.zeros((4, 2)), np.zeros((1, 4))),
-            (np.zeros(4), np.zeros(1)),
-        )
+        m = MLP(np.zeros(4 * 3 + 1 * 5), ((4, 2), (1, 4)))
         y, _ = forward_batch(m, np.array([[5.0, -3.0]]))
         # hidden sigmoids output 0.5 but the zero output weights kill them
         assert y[0, 0] == 0.0
 
     def test_sigmoid_midpoint(self):
         # one hidden unit pinned at z=0: y = 2 * sigmoid(0) = 1.0
-        m = MLP(
-            (np.array([[0.0]]), np.array([[2.0]])),
-            (np.array([0.0]), np.array([0.0])),
-        )
+        m = MLP(np.array([0.0, 0.0, 2.0, 0.0]), ((1, 1), (1, 1)))
         y, _ = forward_batch(m, np.array([[1234.5]]))
         assert y[0, 0] == 1.0
 
     def test_saturated_unit_without_warning(self):
         # z = -1000: exp(-z) overflows to inf and the unit outputs exactly 0
-        m = MLP((np.array([[-1.0]]), np.array([[2.0]])), (np.array([0.0]), np.array([0.5])))
+        m = MLP(np.array([-1.0, 0.0, 2.0, 0.5]), ((1, 1), (1, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             y, trace = forward_batch(m, np.array([[1000.0], [-1000.0]]))
@@ -145,9 +125,9 @@ class TestBackward:
 
     def test_linear_layer_hand_case(self):
         # y = w x + b, loss gradient delta: dW = delta * x, db = delta
-        m = MLP((np.array([[1.5]]),), (np.array([0.0]),))
+        m = MLP(np.array([1.5, 0.0]), ((1, 1),))
         _, trace = forward_batch(m, np.array([[3.0]]))
-        d = MLP.from_theta(backward_batch(m, trace, np.array([[2.0]])), m.shapes)
+        d = MLP(backward_batch(m, trace, np.array([[2.0]])), m.shapes)
         np.testing.assert_array_equal(d.weights[0], [[6.0]])
         np.testing.assert_array_equal(d.biases[0], [2.0])
 
@@ -161,8 +141,8 @@ class TestBackward:
         x = rng.normal(size=(1, d_in))
         delta = rng.normal(size=(1, d_out))
         _, trace = forward_batch(m, x)
-        got = MLP.from_theta(backward_batch(m, trace, delta), m.shapes)
-        fd = MLP.from_theta(finite_difference_grads(m, x, delta), m.shapes)
+        got = MLP(backward_batch(m, trace, delta), m.shapes)
+        fd = MLP(finite_difference_grads(m, x, delta), m.shapes)
         for l in range(m.n_layers):
             assert relative_error(got.weights[l], fd.weights[l]) < 1e-6
             assert relative_error(got.biases[l], fd.biases[l]) < 1e-6
@@ -173,11 +153,11 @@ class TestBackward:
         xs = rng.normal(size=(6, 2))
         deltas = rng.normal(size=(6, 1))
         _, trace = forward_batch(m, xs)
-        dw_all = MLP.from_theta(backward_batch(m, trace, deltas), m.shapes).weights
+        dw_all = MLP(backward_batch(m, trace, deltas), m.shapes).weights
         acc_w = [np.zeros_like(w) for w in m.weights]
         for i in range(6):
             _, tr = forward_batch(m, xs[i : i + 1])
-            dw_i = MLP.from_theta(backward_batch(m, tr, deltas[i : i + 1]), m.shapes).weights
+            dw_i = MLP(backward_batch(m, tr, deltas[i : i + 1]), m.shapes).weights
             for l in range(m.n_layers):
                 acc_w[l] += dw_i[l]
         for l in range(m.n_layers):
@@ -186,9 +166,7 @@ class TestBackward:
     def test_delta_layout_does_not_matter(self):
         # train_epoch passes a swapaxes view of a feature-major (M, O, N)
         # array; gradcheck and the tests pass C-contiguous (M, N, O) arrays
-        nets = [init_mlp(3, [6, 4], 3, seed) for seed in range(4)]
-        net = MLP(tuple(np.stack(ws) for ws in zip(*(n.weights for n in nets))),
-                  tuple(np.stack(bs) for bs in zip(*(n.biases for n in nets))))
+        net = stacked_net(4, (3, 6, 4, 3))
         rng = np.random.default_rng(3)
         _, trace = forward_batch(net, rng.normal(size=(9, 3)))
         delta = rng.normal(size=(4, 9, 3))
@@ -216,9 +194,9 @@ class TestSgd:
             np.testing.assert_array_equal(w, w2)
 
     def test_arithmetic(self):
-        m = MLP((np.array([[1.0]]),), (np.array([0.0]),))
+        m = MLP(np.array([1.0, 0.0]), ((1, 1),))
         grad = np.zeros_like(m.theta)
-        MLP.from_theta(grad, m.shapes).weights[0][0, 0] = 2.0
+        MLP(grad, m.shapes).weights[0][0, 0] = 2.0
         sgd_step(m, grad, 0.1)
         assert m.weights[0][0, 0] == pytest.approx(0.8)
 
@@ -242,9 +220,9 @@ class TestSgd:
             np.testing.assert_allclose(wa, wb, rtol=0, atol=1e-15)
 
     def test_divergence_detected(self):
-        m = MLP((np.array([[1.0]]),), (np.array([0.0]),))
+        m = MLP(np.array([1.0, 0.0]), ((1, 1),))
         huge = np.zeros_like(m.theta)
-        MLP.from_theta(huge, m.shapes).weights[0][0, 0] = 1e308
+        MLP(huge, m.shapes).weights[0][0, 0] = 1e308
         with pytest.raises(DivergenceError):
             sgd_step(m, huge, 1e10)
         assert m.weights[0][0, 0] == 1.0
@@ -278,27 +256,17 @@ class TestSigmoid:
 class TestStack:
     @staticmethod
     def stack(m: int, widths=(2, 3, 1)) -> MLP:
-        pairs = list(zip(widths[:-1], widths[1:]))
-        return MLP(tuple(np.zeros((m, o, i)) for i, o in pairs), tuple(np.zeros((m, o)) for _, o in pairs))
+        shapes = tuple(zip(widths[1:], widths[:-1]))
+        return MLP(np.zeros((m, sum(o * (i + 1) for o, i in shapes))), shapes)
 
     def test_widths(self):
         net = self.stack(4)
         assert (net.n_layers, net.d_in, net.d_out) == (2, 2, 1)
 
-    def test_shape_checks(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            MLP((np.zeros((3, 4, 2)), np.zeros((2, 1, 4))), (np.zeros((3, 4)), np.zeros((2, 1))))
-        with pytest.raises(ValueError, match="mismatch"):
-            MLP((np.zeros((3, 4, 2)),), (np.zeros(4),))
-        with pytest.raises(ValueError, match="chain"):
-            MLP((np.zeros((3, 4, 2)), np.zeros((3, 1, 5))), (np.zeros((3, 4)), np.zeros((3, 1))))
-        with pytest.raises(ValueError, match="non-finite"):
-            MLP((np.full((3, 4, 2), np.nan),), (np.zeros((3, 4)),))
-
     def test_divergence_names_lowest_learner(self):
         net = self.stack(5)
         grad = np.zeros_like(net.theta)
-        dw = MLP.from_theta(grad, net.shapes).weights
+        dw = MLP(grad, net.shapes).weights
         dw[1][4] = 1e308
         dw[1][2] = 1e308
         dw[0][2, 1, 0] = -1e308
@@ -310,7 +278,7 @@ class TestStack:
         net = self.stack(9)
         before = [a.copy() for a in net.weights + net.biases]
         grad = np.zeros_like(net.theta)
-        d = MLP.from_theta(grad, net.shapes)
+        d = MLP(grad, net.shapes)
         d.weights[1][7] = np.inf
         d.biases[0][2, 1] = np.nan
         with pytest.raises(DivergenceError) as exc:
@@ -323,7 +291,7 @@ class TestStack:
     def test_single_network_has_no_mask(self):
         net = init_mlp(2, [3], 1, 0)
         grad = np.zeros_like(net.theta)
-        for dw in MLP.from_theta(grad, net.shapes).weights:
+        for dw in MLP(grad, net.shapes).weights:
             dw[...] = np.inf
         with pytest.raises(DivergenceError) as exc:
             sgd_step(net, grad, 0.1)
@@ -337,7 +305,7 @@ class TestStack:
         delta = rng.normal(size=y.shape)
         grad = backward_batch(net, trace, delta)
         for i, row in enumerate(net.theta):
-            alone = MLP.from_theta(row, net.shapes)
+            alone = MLP(row, net.shapes)
             y_i, trace_i = forward_batch(alone, x[i])
             np.testing.assert_array_equal(y[i], y_i)
             np.testing.assert_array_equal(grad[i], backward_batch(alone, trace_i, delta[i]))
@@ -354,15 +322,14 @@ class TestStack:
 
 def stacked_net(m: int, widths=(3, 6, 4, 1), seed: int = 0) -> MLP:
     nets = [init_mlp(widths[0], list(widths[1:-1]), widths[-1], seed + i) for i in range(m)]
-    return MLP(tuple(np.stack(ws) for ws in zip(*(n.weights for n in nets))),
-               tuple(np.stack(bs) for bs in zip(*(n.biases for n in nets))))
+    return MLP(np.stack([n.theta for n in nets]), nets[0].shapes)
 
 
 def matmul_backward(m: MLP, trace, delta):
     """backward_batch's arithmetic with every propagation written as the matmul ``swapaxes(w) @ g``."""
     g = np.ascontiguousarray(np.swapaxes(delta, -1, -2))
     grad = np.empty(m.theta.shape)
-    blocks = MLP.from_theta(grad, m.shapes).blocks
+    blocks = MLP(grad, m.shapes).blocks
     for l in range(m.n_layers - 1, -1, -1):
         blocks[l][...] = g @ trace[l]  # the trace's last column is ones, so the last column here is db
         if l > 0:
@@ -388,20 +355,6 @@ class TestFlatLayout:
         assert [blk.shape[-2:] for blk in net.blocks] == [(6, 4), (4, 7), (2, 5)]
         assert all(np.shares_memory(a, net.theta) for a in net.blocks + net.weights + net.biases)
 
-    def test_construction_copies_its_inputs(self):
-        weights = (np.ones((2, 4, 3)), np.ones((2, 1, 4)))
-        biases = (np.zeros((2, 4)), np.zeros((2, 1)))
-        net = MLP(weights, biases)
-        assert not any(np.shares_memory(net.theta, a) for a in weights + biases)
-
-    def test_non_finite_layer_named(self):
-        net = stacked_net(3)
-        weights = list(net.weights)
-        weights[1] = weights[1].copy()
-        weights[1][2, 0, 0] = np.inf
-        with pytest.raises(ValueError, match="layer 1: non-finite"):
-            MLP(tuple(weights), net.biases)
-
     @pytest.mark.parametrize("m", [None, 5])
     def test_backward_writes_one_gradient_array(self, m):
         net = init_mlp(3, [6, 4], 1, 2) if m is None else stacked_net(m)
@@ -417,7 +370,7 @@ class TestFlatLayout:
         rng = np.random.default_rng(8)
         _, trace = forward_batch(net, rng.normal(size=(8, 3)))
         grad = backward_batch(net, trace, rng.normal(size=trace[-1].shape))
-        d = MLP.from_theta(grad, net.shapes)
+        d = MLP(grad, net.shapes)
         if m is None:
             d.biases[1][2] = np.inf  # layer 1's bias
         else:
@@ -469,10 +422,21 @@ class TestFlatLayout:
             np.testing.assert_array_equal(np.multiply(w_t, g), w_t @ g)
 
 
+def through_checkpoint(net: MLP) -> MLP:
+    """``net``, a stack, as the learners of one checkpointed ensemble, read back; the document writes back unchanged."""
+    text = ensemble_to_json(EnsembleModel(net, MethodConfig("independent"), seed=0))
+    back = ensemble_from_json(text)
+    assert ensemble_to_json(back) == text
+    return back.net
+
+
 class TestCheckpoint:
+    """The sea-mlp/1 layer list of a checkpoint; its malformed-field cases are in test_ensemble.py."""
+
     def test_roundtrip(self):
         m = init_mlp(3, [5, 4], 2, 12)
-        back = mlp_from_dict(mlp_to_dict(m))
+        (back,) = through_checkpoint(MLP(m.theta[None], m.shapes)).theta
+        back = MLP(back, m.shapes)
         for wa, wb in zip(m.weights, back.weights):
             np.testing.assert_array_equal(wa, wb)
         for ba, bb in zip(m.biases, back.biases):
@@ -480,11 +444,11 @@ class TestCheckpoint:
 
     def test_stack_roundtrip(self):
         m = init_mlp(3, [5, 4], 2, 12)
-        stack = MLP(tuple(np.stack([w, 2 * w]) for w in m.weights), tuple(np.stack([b, b + 1]) for b in m.biases))
-        back = mlp_from_dict(mlp_to_dict(stack))
+        stack = MLP(np.stack([m.theta, m.theta]), m.shapes)
+        for w, b in zip(stack.weights, stack.biases):
+            w[1] *= 2
+            b[1] += 1
+        back = through_checkpoint(stack)
+        assert back.shapes == ((5, 3), (4, 5), (2, 4))
         for a, b in zip(stack.weights + stack.biases, back.weights + back.biases):
             np.testing.assert_array_equal(a, b)
-
-    def test_format_tag_checked(self):
-        with pytest.raises(ValueError, match="format"):
-            mlp_from_dict({"format": "other/9", "layers": []})
