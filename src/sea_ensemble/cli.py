@@ -189,6 +189,8 @@ def _cmd_train(args) -> int:
     if not np.isfinite(param):
         raise UsageError(f"--param must be finite, got {param}")
     m = cfg.m_list[0]
+    if cfg.method == "sea":
+        harness.warn_outside_sea_interval(param, m)
     train, _ = standardize(harness.load_dataset(cfg))
     ens = build_ensemble(train.n_features, list(cfg.hidden), train.n_outputs, m, MethodConfig(cfg.method, param),
                          seed=harness.fold_seed(cfg, 0), n_train=train.n_samples)
@@ -245,10 +247,12 @@ def _cmd_diversity(args) -> int:
     cfg = _config_from_args(args)
     if cfg.method not in ("sea", "ncl"):
         raise UsageError(f"no std prediction for method {cfg.method!r}; diversity takes sea or ncl")
-    if len(cfg.grid) < 3:
-        raise UsageError(f"diversity needs a grid of at least 3 points, got {len(cfg.grid)}")
+    points = len(set(cfg.grid))
+    if points < 3:
+        raise UsageError(f"diversity needs a grid of at least 3 points, got {points}")
+    result = harness.run_sweep(cfg)
     for m in cfg.m_list:
-        profile = harness.diversity_profile(cfg, cfg.method, cfg.grid, m)
+        profile = harness.diversity_profile(result, m)
         harness.persist_diversity(profile, cfg.outdir, prefix=f"m{m}_")
         log.info(
             "M=%d: R^2=%.4f C=%.4g rel_rms_dev=%.3f", m, profile.r_squared,

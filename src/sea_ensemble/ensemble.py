@@ -30,7 +30,9 @@ holds an (M, fan_out, fan_in + 1) ``[W | b]`` block per layer, so a training
 step is one batched forward, backward and update with no loop over learners.
 A stack may hold P ensembles, one per parameter value, trained by the same
 step. The stack is the only form an ensemble has: it is built, checkpointed
-and reloaded as one MLP.
+and reloaded as one MLP. ``MethodConfig`` and ``EnsembleModel`` are plain
+holders that check nothing: a config is checked where it enters, by
+``harness.ExperimentConfig``, and a checkpoint by :func:`ensemble_from_json`.
 
 Bagging's learners do not share a batch. A resample of n rows holds about
 1 - 1/e (63%) distinct rows, so each learner's layer-0 input is its own
@@ -45,17 +47,13 @@ from __future__ import annotations
 
 import copy
 import json
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import theory
 from .mlp import MLP, backward_batch, forward_batch, init_mlp, sgd_step
 from .seeds import derive_seed
-
-log = logging.getLogger(__name__)
 
 METHODS = ("independent", "sea", "ncl", "nclstar", "bagging")
 ADJUSTABLE = ("sea", "ncl", "nclstar")
@@ -68,13 +66,6 @@ class MethodConfig:
     method: str
     param: float = 0.0
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        object.__setattr__(self, "param", float(self.param))
-        if not np.isfinite(self.param):
-            raise ValueError(f"{self.method} parameter must be finite, got {self.param}")
-
 
 class EnsembleModel:
     """P ensembles of M same-shape learners held as one stacked MLP, ``net``, plus the training method.
@@ -86,38 +77,17 @@ class EnsembleModel:
     and are None for the other methods. ``work`` is the kernel
     workspace of :func:`train_epoch` (see :mod:`sea_ensemble.mlp`), one step's
     arrays of the last (stack, batch rows) shape; no other function uses it.
+    The constructor only assigns these fields, as ``MLP``'s does.
     """
 
     def __init__(self, net: MLP, config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):
-        # the checkpoint reader has checked the layers; a checkpoint may still hold a single network or no learner
-        if net.theta.ndim != 2:
-            raise ValueError(f"ensemble needs a stacked MLP, got layer 0 weights {net.weights[0].shape}")
-        if len(net.theta) == 0:
-            raise ValueError("ensemble needs at least one learner")
         self.net = net
         self.work: dict = {}
         self.config = config
-        self.params = np.array([config.param])
+        self.params = np.array([config.param], dtype=np.float64)
         self.seed = seed
         self.bootstrap = bootstrap
-        if self.config.method in ADJUSTABLE and self.m < 2:
-            raise ValueError(f"{self.config.method} requires M >= 2, got M={self.m}")
-        if self.config.method == "sea":
-            warn_outside_sea_interval(self.config.param, self.m)
-        if self.config.method == "bagging" and self.bootstrap is None:
-            raise ValueError("bagging ensemble needs bootstrap indices")
-        idx = self.bootstrap
-        if idx is not None:
-            # one resample of 0..n-1 per learner, and only bagging trains on them
-            if self.config.method != "bagging":
-                raise ValueError(f"only bagging takes bootstrap indices, not {self.config.method}")
-            if idx.dtype.kind not in "iu":
-                raise ValueError(f"bootstrap indices must be integers, got dtype {idx.dtype}")
-            if idx.ndim != 2 or idx.shape[0] != self.m or idx.shape[1] == 0:
-                raise ValueError(f"bootstrap must be (M={self.m}, n), got shape {idx.shape}")
-            if idx.min() < 0 or idx.max() >= idx.shape[1]:
-                raise ValueError(f"bootstrap indices must lie in [0, {idx.shape[1]})")
-        self.rows, self.counts = (None, None) if idx is None else drawn_rows(idx)
+        self.rows, self.counts = (None, None) if bootstrap is None else drawn_rows(bootstrap)
 
     def take(self, points, params=None) -> EnsembleModel:
         """Ensembles ``points`` of this stack, copied in that order, at ``params`` (default: their own).
@@ -128,7 +98,7 @@ class EnsembleModel:
         rows = (points[:, None] * self.m + np.arange(self.m)).ravel()
         other = copy.copy(self)
         other.work = {}
-        # one fancy index copies the rows; rows of a checked stack need no second check
+        # one fancy index copies the rows
         other.net = MLP(self.net.theta[rows], self.net.shapes)
         other.params = self.params[points] if params is None else np.array(params, dtype=np.float64)
         return other
@@ -141,13 +111,6 @@ class EnsembleModel:
     @property
     def m(self) -> int:
         return len(self.net.theta) // len(self.params)
-
-
-def warn_outside_sea_interval(k: float, m: int) -> None:
-    """Log a warning when sea's k lies outside the theoretical interval for M learners."""
-    lo, hi = theory.sea_k_bounds(m)
-    if not lo < k < hi:
-        log.warning("SEA k=%g outside the theoretical interval (%g, %g) for M=%d; proceeding", k, lo, hi, m)
 
 
 def build_ensemble(
@@ -374,15 +337,36 @@ def ensemble_from_json(text: str) -> EnsembleModel:
         raise ValueError(f"checkpoint net must be a JSON object, got {type(doc['net']).__name__}")
     if type(doc["seed"]) is not int:  # not a bool, a float or a string
         raise ValueError(f"checkpoint seed must be an integer, got {doc['seed']!r}")
-    if type(doc["param"]) not in (int, float):
-        raise ValueError(f"checkpoint param must be a number, got {doc['param']!r}")
-    # no dtype: fractional indices stay floats and are rejected, not truncated
-    bootstrap = None if doc["bootstrap"] is None else np.asarray(doc["bootstrap"])
-    return EnsembleModel(_net_from_doc(doc["net"]), MethodConfig(doc["method"], doc["param"]), doc["seed"], bootstrap)
+    method, param, bootstrap = doc["method"], doc["param"], doc["bootstrap"]
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if type(param) not in (int, float):
+        raise ValueError(f"checkpoint param must be a number, got {param!r}")
+    if not math.isfinite(param):  # json.loads reads NaN and Infinity
+        raise ValueError(f"{method} parameter must be finite, got {param}")
+    net = _net_from_doc(doc["net"])
+    m = len(net.theta)
+    if method in ADJUSTABLE and m < 2:
+        raise ValueError(f"{method} requires M >= 2, got M={m}")
+    if method != "bagging" and bootstrap is not None:
+        raise ValueError(f"only bagging takes bootstrap indices, not {method}")
+    if method == "bagging":
+        if bootstrap is None:
+            raise ValueError("bagging ensemble needs bootstrap indices")
+        # one resample of 0..n-1 per learner, checked as JSON before numpy reads it
+        n = len(bootstrap[0]) if type(bootstrap) is list and bootstrap and type(bootstrap[0]) is list else 0
+        if n == 0 or len(bootstrap) != m or any(type(row) is not list or len(row) != n for row in bootstrap):
+            raise ValueError(f"checkpoint bootstrap must be (M={m}, n) lists of n >= 1 indices")
+        if any(type(i) is not int for row in bootstrap for i in row):  # not a bool or a float
+            raise ValueError("checkpoint bootstrap indices must be integers")
+        if any(not 0 <= i < n for row in bootstrap for i in row):
+            raise ValueError(f"checkpoint bootstrap indices must lie in [0, {n})")
+        bootstrap = np.array(bootstrap)
+    return EnsembleModel(net, MethodConfig(method, float(param)), doc["seed"], bootstrap)
 
 
 def _net_from_doc(net: dict) -> MLP:
-    """The MLP of a checkpoint's ``sea-mlp/1`` layer list, each layer's shape, chaining and values checked."""
+    """The stacked MLP of a checkpoint's ``sea-mlp/1`` layer list, each layer's shape, chaining and values checked."""
     if net.get("format") != "sea-mlp/1":
         raise ValueError(f"unsupported checkpoint net format: {net.get('format')!r}")
     if type(net.get("layers")) is not list or not net["layers"]:
@@ -394,23 +378,23 @@ def _net_from_doc(net: dict) -> MLP:
         if missing:
             raise ValueError(f"{where} lacks {', '.join(missing)}")
         shape = layer["shape"]
-        if type(shape) is not list or len(shape) not in (2, 3) or any(type(n) is not int or n < 0 for n in shape):
-            raise ValueError(f"{where}: shape must be 2 or 3 counts, got {shape!r}")
-        *stack, fan_out, fan_in = shape
-        for key, count in (("weights", math.prod(shape)), ("biases", math.prod(shape[:-1]))):
+        if type(shape) is not list or [type(n) for n in shape] != [int] * 3 or shape[0] < 1 or min(shape) < 0:
+            raise ValueError(f"{where}: shape must be 3 counts (M >= 1, fan_out, fan_in), got {shape!r}")
+        m, fan_out, fan_in = shape
+        for key, count in (("weights", m * fan_out * fan_in), ("biases", m * fan_out)):
             values = layer[key]
             if type(values) is not list or any(type(v) not in (int, float) for v in values):
                 raise ValueError(f"{where}: {key} must be a list of numbers")
             if len(values) != count:
                 raise ValueError(f"{where}: {key} of {len(values)} values do not fit shape {shape}")
         w, b = (np.asarray(layer[key], dtype=np.float64) for key in ("weights", "biases"))
-        if l and stack != list(blocks[0].shape[:-1]):
-            raise ValueError(f"{where}: stack {stack} does not match layer 0's {list(blocks[0].shape[:-1])}")
+        if l and m != len(blocks[0]):
+            raise ValueError(f"{where}: stack [{m}] does not match layer 0's [{len(blocks[0])}]")
         if l and fan_in != shapes[-1][0]:
             raise ValueError(f"{where}: fan_in {fan_in} does not chain")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"{where}: non-finite parameters")
-        block = np.concatenate([w.reshape(shape), b.reshape(stack + [fan_out, 1])], axis=-1)
-        blocks.append(block.reshape(stack + [fan_out * (fan_in + 1)]))
+        block = np.concatenate([w.reshape(shape), b.reshape(m, fan_out, 1)], axis=-1)
+        blocks.append(block.reshape(m, fan_out * (fan_in + 1)))
         shapes.append((fan_out, fan_in))
     return MLP(np.concatenate(blocks, axis=-1), tuple(shapes))

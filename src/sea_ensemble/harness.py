@@ -48,7 +48,6 @@ from .ensemble import (
     drawn_batch,
     predictions_batch,
     train_epoch,
-    warn_outside_sea_interval,
 )
 from .mlp import DivergenceError
 from .seeds import derive_seed
@@ -425,6 +424,13 @@ def _sweep_job(m: int, fold: int) -> list[SweepRow]:
     return run_column(cfg, m, ds, split, fold)
 
 
+def warn_outside_sea_interval(k: float, m: int) -> None:
+    """Log a warning when sea's k lies outside the theoretical interval for M learners."""
+    lo, hi = theory.sea_k_bounds(m)
+    if not lo < k < hi:
+        log.warning("SEA k=%g outside the theoretical interval (%g, %g) for M=%d; proceeding", k, lo, hi, m)
+
+
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """The full (grid x m_list x folds) product for the configured method.
 
@@ -555,18 +561,16 @@ class DiversityProfile:
     rel_rms_deviation: float
 
 
-def diversity_profile(cfg: ExperimentConfig, method: str, grid, m: int) -> DiversityProfile:
-    """Measured test-set prediction std per grid point, with the fitted theory curve.
+def diversity_profile(result: SweepResult, m: int) -> DiversityProfile:
+    """Measured prediction std per parameter of ensemble size m in a finished sweep, with the fitted theory curve.
 
+    The method is the sweep's, the grid its distinct parameters, ascending.
     The scale constant C is fitted by least squares to the measured std
     values; rel_rms_deviation is RMS(predicted - measured) / RMS(measured).
-    Runs through run_sweep, so cfg.workers parallelizes the grid.
     """
-    grid = tuple(float(g) for g in grid)
-    if len(grid) < 3:
-        raise ValueError("diversity profile needs a grid of at least 3 points")
-    sweep_cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "method": method, "grid": list(grid), "m_list": [m]})
-    rows = run_sweep(sweep_cfg).rows
+    rows = [r for r in result.rows if r.m == m]
+    method = rows[0].method
+    grid = tuple(sorted({r.param for r in rows}))
     stds, mets = [], []
     for param in grid:
         finite = [r for r in rows if r.param == param and not r.diverged]

@@ -217,12 +217,13 @@ def test_criterion_8_diversity_uniformity():
         started = time.perf_counter()
         grid = geometric_grid(0.0, 1.0, 0.1)
 
-        def cfg_for(epochs: int) -> ExperimentConfig:
-            return ExperimentConfig(
+        def sweep(method: str, epochs: int):
+            return run_sweep(ExperimentConfig(
                 name="acceptance-diversity",
                 synth=SynthSpec(n=400, noise_sd=0.1),
+                method=method,
                 grid=grid,
-                m_list=(5,),
+                m_list=(5, 20),
                 folds=2,
                 epochs=epochs,
                 alpha=0.002,
@@ -230,22 +231,22 @@ def test_criterion_8_diversity_uniformity():
                 seed=SEED,
                 outdir="unused",
                 workers=WORKERS,
-            )
+            ))
 
         # Comparative uniformity is a converged-regime claim: long budget.
-        long_cfg = cfg_for(1500)
+        long_sea, long_ncl = sweep("sea", 1500), sweep("ncl", 1500)
         for m in (5, 20):
-            sea = diversity_profile(long_cfg, "sea", grid, m)
-            ncl = diversity_profile(long_cfg, "ncl", grid, m)
+            sea = diversity_profile(long_sea, m)
+            ncl = diversity_profile(long_ncl, m)
             assert sea.r_squared >= ncl.r_squared, (
                 f"M={m}: R2 sea {sea.r_squared:.3f} < ncl {ncl.r_squared:.3f}"
             )
         # The linear std law is derived assuming comparable ensemble errors
         # across parameters, which holds at a moderate budget; validate the
         # fitted theory curve there.
-        short_cfg = cfg_for(250)
+        short_sea = sweep("sea", 250)
         for m in (5, 20):
-            sea = diversity_profile(short_cfg, "sea", grid, m)
+            sea = diversity_profile(short_sea, m)
             assert sea.rel_rms_deviation < 0.25, (
                 f"M={m}: rel RMS deviation {sea.rel_rms_deviation:.3f}"
             )

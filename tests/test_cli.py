@@ -1,4 +1,5 @@
 import json
+import logging
 import shlex
 from pathlib import Path
 
@@ -277,6 +278,16 @@ class TestTrain:
         assert not (tmp_path / "checkpoint.json").exists()
         assert "diverged after 10 of 10 epochs" in caplog.text
 
+    def test_out_of_bounds_k_warns_but_trains(self, tmp_path, caplog):
+        # sea's interval for M=5 is (-0.25, 2.25); k is chosen here, so it is warned of here
+        args = ["train", "--method", "sea", "--param", "3", "--m", "5", "--synth-n", "60", "--epochs", "1",
+                "--hidden", "3", "--outdir", str(tmp_path)]
+        with caplog.at_level(logging.WARNING, logger="sea_ensemble"):
+            assert main(args) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records if "outside" in r.getMessage()] == [
+            "SEA k=3 outside the theoretical interval (-0.25, 2.25) for M=5; proceeding"]
+        assert ensemble_from_json((tmp_path / "checkpoint.json").read_text()).params.tolist() == [3.0]
+
 
 class TestBoundary:
     def test_emits_per_m_files(self, tmp_path):
@@ -332,6 +343,7 @@ class TestDiversity:
             (["--method", "independent", "--grid", "0,0.5,1"], "no std prediction for method 'independent'"),
             (["--method", "bagging", "--grid", "0,0.5,1"], "no std prediction for method 'bagging'"),
             (["--method", "sea", "--grid", "0,1"], "at least 3 points"),
+            (["--method", "sea", "--grid", "0,0,1"], "at least 3 points, got 2"),
         ],
     )
     def test_bad_input_rejected_before_training(self, tmp_path, capsys, monkeypatch, flags, message):

@@ -190,6 +190,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="bogus"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("method", ["sea", "ncl", "nclstar"])
+    def test_adjustable_needs_two_learners(self, method):
+        with pytest.raises(ValueError, match=f"{method} needs ensemble sizes >= 2"):
+            small_cfg(method=method, m_list=(1,))
+        small_cfg(method="independent", m_list=(1,))
+
     def test_epochs_positive(self):
         with pytest.raises(ValueError, match="epochs"):
             small_cfg(epochs=0)
@@ -659,21 +665,22 @@ class TestPersistence:
 
 class TestDiversityProfile:
     def test_requires_three_points(self):
-        cfg = small_cfg()
+        result = run_sweep(small_cfg(grid=(0.0, 1.0), epochs=1))
         with pytest.raises(ValueError, match="3 points"):
-            harness.diversity_profile(cfg, "sea", (0.0, 1.0), 3)
+            harness.diversity_profile(result, 3)
 
     def test_profile_fields(self):
-        cfg = small_cfg(epochs=20)
-        profile = harness.diversity_profile(cfg, "sea", (0.0, 0.5, 1.0), 3)
-        assert len(profile.empirical_std) == 3
-        assert 0.0 <= profile.r_squared <= 1.0
-        assert profile.scale_c > 0
-        assert len(profile.predicted_std) == 3
+        result = run_sweep(small_cfg(grid=(0.0, 0.5, 1.0), m_list=(3, 4), epochs=20))
+        for m in (3, 4):
+            profile = harness.diversity_profile(result, m)
+            assert (profile.method, profile.m, profile.params) == ("sea", m, (0.0, 0.5, 1.0))
+            assert len(profile.empirical_std) == 3
+            assert 0.0 <= profile.r_squared <= 1.0
+            assert profile.scale_c > 0
+            assert len(profile.predicted_std) == 3
 
     def test_persist_diversity(self, tmp_path):
-        cfg = small_cfg(epochs=10)
-        profile = harness.diversity_profile(cfg, "sea", (0.0, 0.5, 1.0), 3)
+        profile = harness.diversity_profile(run_sweep(small_cfg(grid=(0.0, 0.5, 1.0), epochs=10)), 3)
         csv_path, meta_path = harness.persist_diversity(profile, tmp_path)
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == harness.DIVERSITY_CSV_HEADER
