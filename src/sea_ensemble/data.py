@@ -6,10 +6,21 @@ generator used throughout the test and experiment suites.
 
 All datasets are dense, in-memory float64 arrays. Classification targets
 are one-hot rows so classification can be solved by multi-output regression.
+
+Data enters the program through one of two doors, and is checked there:
+:func:`parse_libsvm` for dataset files, which refuses a malformed or
+non-finite entry and names its line, and ``harness.SynthSpec`` for the
+synthetic set. Past them, :class:`Dataset`, :class:`NormStats` and
+:class:`FoldSplit` are plain holders that check nothing: each value they hold
+was built by a door or by a function here from a checked one. The one
+function that can turn finite values into non-finite ones, :func:`standardize`
+(a column whose sum overflows, a test fold over a small training std),
+refuses such a result once per call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +48,10 @@ class Dataset:
     """A feature matrix plus a target matrix.
 
     Regression targets are (N, 1); classification targets are (N, K) one-hot
-    rows. Arrays are frozen after construction and safe to share.
+    rows. Construction only normalizes the format: float64, 2-D features, a
+    1-D target as a column, and arrays frozen so they are safe to share. It
+    checks no value; a library caller who builds a Dataset directly owns its
+    shapes, its finiteness and its one-hot rows, as with ``MLP(theta, shapes)``.
     """
 
     name: str
@@ -46,30 +60,9 @@ class Dataset:
     task: str = REGRESSION
 
     def __post_init__(self):
-        feats = _readonly(np.atleast_2d(self.features))
         targs = np.asarray(self.targets, dtype=np.float64)
-        if targs.ndim == 1:
-            targs = targs[:, None]
-        targs = _readonly(targs)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "targets", targs)
-        n, d = self.features.shape
-        if n < 1 or d < 1 or self.targets.shape[1] < 1:
-            raise ValueError("dataset must have N >= 1, D >= 1, O >= 1")
-        if self.targets.shape[0] != n:
-            raise ValueError(
-                f"features have {n} rows but targets have {self.targets.shape[0]}"
-            )
-        if not np.isfinite(self.features).all() or not np.isfinite(self.targets).all():
-            raise ValueError("dataset contains non-finite values")
-        if self.task == CLASSIFICATION:
-            onehot = np.isin(self.targets, (0.0, 1.0)).all() and np.all(
-                self.targets.sum(axis=1) == 1.0
-            )
-            if not onehot:
-                raise ValueError("classification targets must be exactly one-hot rows")
-        elif self.task != REGRESSION:
-            raise ValueError(f"unknown task kind: {self.task!r}")
+        object.__setattr__(self, "features", _readonly(np.atleast_2d(self.features)))
+        object.__setattr__(self, "targets", _readonly(targs[:, None] if targs.ndim == 1 else targs))
 
     @property
     def n_samples(self) -> int:
@@ -86,43 +79,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-column standardization statistics. Target stats are regression-only."""
+    """Per-column standardization statistics, as fitted by :func:`standardize`. Target stats are regression-only."""
 
     feature_mean: np.ndarray
     feature_std: np.ndarray
     target_mean: np.ndarray | None = None
     target_std: np.ndarray | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "feature_mean", _readonly(np.atleast_1d(self.feature_mean)))
-        object.__setattr__(self, "feature_std", _readonly(np.atleast_1d(self.feature_std)))
-        if (self.target_mean is None) != (self.target_std is None):
-            raise ValueError("target_mean and target_std must be given together")
-        if self.target_mean is not None:
-            object.__setattr__(self, "target_mean", _readonly(np.atleast_1d(self.target_mean)))
-            object.__setattr__(self, "target_std", _readonly(np.atleast_1d(self.target_std)))
-        if (self.feature_std < 0).any() or (
-            self.target_std is not None and (self.target_std < 0).any()
-        ):
-            raise ValueError("standard deviations must be nonnegative")
-
 
 @dataclass(frozen=True)
 class FoldSplit:
-    """K disjoint index lists covering 0..N-1, sizes differing by at most 1."""
+    """K disjoint index lists covering 0..N-1, sizes differing by at most 1, as :func:`kfold_split` cuts them."""
 
     folds: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        folds = tuple(np.asarray(f, dtype=np.int64) for f in self.folds)
-        object.__setattr__(self, "folds", folds)
-        n = sum(len(f) for f in folds)
-        combined = np.concatenate(folds)
-        if not np.array_equal(np.sort(combined), np.arange(n)):
-            raise ValueError("folds must partition 0..N-1")
-        sizes = [len(f) for f in folds]
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError("fold sizes must differ by at most 1")
 
     def test_indices(self, fold: int) -> np.ndarray:
         return self.folds[fold]
@@ -135,6 +104,8 @@ class FoldSplit:
 def parse_libsvm(text: str | bytes, n_features: int | None = None, name: str = "libsvm") -> Dataset:
     """Parse LIBSVM text (`<label> <i1>:<v1> ...`, 1-based strictly increasing indices).
 
+    The door for file data: a malformed line, or a label or value that reads
+    as NaN or +-inf, raises :class:`LibsvmParseError` with its line number.
     Unmentioned feature indices are zero. Labels are kept raw in a single
     target column; classification encoding is a separate step
     (see :func:`encode_classification`).
@@ -153,6 +124,8 @@ def parse_libsvm(text: str | bytes, n_features: int | None = None, name: str = "
             label = float(tokens[0])
         except ValueError:
             raise LibsvmParseError(line_no, f"non-numeric label {tokens[0]!r}") from None
+        if not math.isfinite(label):  # float() reads nan, inf and 1e400
+            raise LibsvmParseError(line_no, f"non-finite label {tokens[0]!r}")
         entries: list[tuple[int, float]] = []
         prev_index = 0
         for tok in tokens[1:]:
@@ -164,6 +137,8 @@ def parse_libsvm(text: str | bytes, n_features: int | None = None, name: str = "
                 val = float(val_str)
             except ValueError:
                 raise LibsvmParseError(line_no, f"non-numeric token {tok!r}") from None
+            if not math.isfinite(val):
+                raise LibsvmParseError(line_no, f"non-finite value {tok!r}")
             if idx < 1:
                 raise LibsvmParseError(line_no, f"feature index {idx} < 1")
             if idx <= prev_index:
@@ -212,16 +187,19 @@ def standardize(ds: Dataset, stats: NormStats | None = None) -> tuple[Dataset, N
     With ``stats=None`` the statistics are fitted on ``ds`` (population std);
     otherwise the supplied statistics are applied (the test-fold path).
     Columns with zero std pass through unchanged. One-hot targets are never
-    transformed.
+    transformed. Finite inputs can still standardize to NaN or +-inf (a column
+    of 1e308s overflows its mean; a test fold divided by a small training std
+    overflows), so a non-finite result is refused here, once per call.
     """
     if stats is None:
-        f_mean = ds.features.mean(axis=0)
-        f_std = ds.features.std(axis=0)
-        if ds.task == REGRESSION:
-            t_mean = ds.targets.mean(axis=0)
-            t_std = ds.targets.std(axis=0)
-        else:
-            t_mean = t_std = None
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            f_mean = ds.features.mean(axis=0)
+            f_std = ds.features.std(axis=0)
+            if ds.task == REGRESSION:
+                t_mean = ds.targets.mean(axis=0)
+                t_std = ds.targets.std(axis=0)
+            else:
+                t_mean = t_std = None
         stats = NormStats(f_mean, f_std, t_mean, t_std)
     if stats.feature_mean.shape[0] != ds.n_features:
         raise ValueError(
@@ -236,13 +214,15 @@ def standardize(ds: Dataset, stats: NormStats | None = None) -> tuple[Dataset, N
         targs = _apply_columns(ds.targets, stats.target_mean, stats.target_std)
     else:
         targs = ds.targets
+    if not (np.isfinite(feats).all() and np.isfinite(targs).all()):
+        raise ValueError(f"{ds.name}: standardized values are not finite; a column overflows float64")
     return Dataset(ds.name, feats, targs, task=ds.task), stats
 
 
 def _apply_columns(a: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     keep = std == 0.0
-    out = (a - np.where(keep, 0.0, mean)) / np.where(keep, 1.0, std)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (a - np.where(keep, 0.0, mean)) / np.where(keep, 1.0, std)
 
 
 def one_hot_encode(labels, k: int) -> np.ndarray:
@@ -288,12 +268,9 @@ def synth_regression(n: int, noise_sd: float, seed: int) -> Dataset:
     """Synthetic 2-feature regression set: t = sin(3*x1) + 0.5*x2^2 + noise.
 
     Features are uniform on [-1, 1]^2; noise is Normal(0, noise_sd^2).
-    Deterministic per seed (features drawn first, then noise).
+    Deterministic per seed (features drawn first, then noise). ``n >= 1`` and
+    a finite ``noise_sd >= 0`` are the caller's; ``harness.SynthSpec`` checks them.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if noise_sd < 0:
-        raise ValueError(f"need noise_sd >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(n, 2))
     noise = rng.normal(0.0, noise_sd, size=n) if noise_sd > 0 else np.zeros(n)

@@ -342,6 +342,10 @@ def ensemble_from_json(text: str) -> EnsembleModel:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if type(param) not in (int, float):
         raise ValueError(f"checkpoint param must be a number, got {param!r}")
+    try:
+        param = float(param)
+    except OverflowError:  # a JSON integer past float range
+        raise ValueError("checkpoint param is an integer too large for a float") from None
     if not math.isfinite(param):  # json.loads reads NaN and Infinity
         raise ValueError(f"{method} parameter must be finite, got {param}")
     net = _net_from_doc(doc["net"])
@@ -362,7 +366,7 @@ def ensemble_from_json(text: str) -> EnsembleModel:
         if any(not 0 <= i < n for row in bootstrap for i in row):
             raise ValueError(f"checkpoint bootstrap indices must lie in [0, {n})")
         bootstrap = np.array(bootstrap)
-    return EnsembleModel(net, MethodConfig(method, float(param)), doc["seed"], bootstrap)
+    return EnsembleModel(net, MethodConfig(method, param), doc["seed"], bootstrap)
 
 
 def _net_from_doc(net: dict) -> MLP:
@@ -381,13 +385,18 @@ def _net_from_doc(net: dict) -> MLP:
         if type(shape) is not list or [type(n) for n in shape] != [int] * 3 or shape[0] < 1 or min(shape) < 0:
             raise ValueError(f"{where}: shape must be 3 counts (M >= 1, fan_out, fan_in), got {shape!r}")
         m, fan_out, fan_in = shape
+        arrays = {}
         for key, count in (("weights", m * fan_out * fan_in), ("biases", m * fan_out)):
             values = layer[key]
             if type(values) is not list or any(type(v) not in (int, float) for v in values):
                 raise ValueError(f"{where}: {key} must be a list of numbers")
             if len(values) != count:
                 raise ValueError(f"{where}: {key} of {len(values)} values do not fit shape {shape}")
-        w, b = (np.asarray(layer[key], dtype=np.float64) for key in ("weights", "biases"))
+            try:
+                arrays[key] = np.asarray(values, dtype=np.float64)
+            except OverflowError:  # a JSON integer past float range
+                raise ValueError(f"{where}: {key} hold an integer too large for a float") from None
+        w, b = arrays["weights"], arrays["biases"]
         if l and m != len(blocks[0]):
             raise ValueError(f"{where}: stack [{m}] does not match layer 0's [{len(blocks[0])}]")
         if l and fan_in != shapes[-1][0]:

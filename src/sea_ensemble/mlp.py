@@ -178,6 +178,10 @@ def forward_batch(m: MLP, x: np.ndarray, work: dict | None = None) -> tuple[np.n
     i feeds learner i; it returns (M, N, O) outputs, and its trace entries
     past a shared input are (M, N, fan_in + 1). Outputs and trace live in
     ``work`` (default: a fresh one), as views of its unit-major buffers.
+    The input's shape is checked, not its values: as with ``MLP(theta,
+    shapes)``, a caller who passes a batch owns it. Data from outside is
+    checked where it enters (:func:`sea_ensemble.data.parse_libsvm`); an
+    +-inf input can saturate the sigmoids to finite outputs, not fail.
     """
     work = {} if work is None else work
     x = np.asarray(x, dtype=np.float64)
@@ -185,8 +189,6 @@ def forward_batch(m: MLP, x: np.ndarray, work: dict | None = None) -> tuple[np.n
     if x.ndim < 2 or x.shape[-1] != m.d_in or x.shape[:-2] not in ((), stack):
         per_learner = f" or ({stack[0]}, N, {m.d_in})" if stack else ""
         raise ValueError(f"expected (N, {m.d_in}){per_learner} input, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input")
     n = x.shape[-2]
     a = _buffer(work, ("a", 0), (m.d_in + 1,) + x.shape[:-2] + (n,), ones=True)
     np.copyto(a[:-1], x.swapaxes(-1, -2).swapaxes(0, -2))

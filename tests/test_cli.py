@@ -111,6 +111,7 @@ class TestUsage:
             ("sweep", ["--grid", "0:nan:1"], "bad range"),
             ("sweep", ["--grid", "nan:1:0.5"], "bad range"),
             ("sweep", ["--grid", "0:1:inf"], "bad range"),
+            ("sweep", ["--synth-n", "0"], "synthetic dataset needs n >= 1"),
         ],
     )
     def test_non_finite_value_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, flags, message):
@@ -218,6 +219,26 @@ class TestSweep:
         assert (tmp_path / "sweep.csv").read_bytes() == csv1
         assert (tmp_path / "sweep.json").read_bytes() == json1
 
+    # parse_libsvm is the door for file data: a non-finite entry is refused, by line, before training
+    @pytest.mark.parametrize("line", ["2 1:nan", "-inf 1:0.5"])
+    def test_non_finite_dataset_entry_exits_2_naming_its_line(self, tmp_path, caplog, line):
+        data = tmp_path / "bad.libsvm"
+        data.write_text(f"1 1:0.5\n{line}\n3 1:1\n")
+        args = ["sweep", "--dataset", data, "--grid", "0", "--folds", "2", "--epochs", "2", "--m", "2",
+                "--hidden", "3", "--workers", "1", "--outdir", tmp_path / "out"]
+        assert run_cli(args, tmp_path) == EXIT_RUNTIME
+        assert "line 2: non-finite" in caplog.text
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    # finite entries whose training-fold mean overflows standardize to NaN: refused, not trained as divergence
+    def test_overflowing_dataset_column_exits_2(self, tmp_path, caplog):
+        data = tmp_path / "big.libsvm"
+        data.write_text("1 1:1e308\n" * 4)
+        args = ["sweep", "--dataset", data, "--grid", "0", "--folds", "2", "--epochs", "2", "--m", "2",
+                "--hidden", "3", "--workers", "1", "--outdir", tmp_path / "out"]
+        assert run_cli(args, tmp_path) == EXIT_RUNTIME
+        assert "standardized values are not finite" in caplog.text
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_worker_count_keeps_bytes_with_diverging_rows(self, tmp_path):
         # nclstar past its boundary at 7-row batches: 6 of the 12 rows diverge mid-sweep,

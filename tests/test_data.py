@@ -4,7 +4,6 @@ import pytest
 from sea_ensemble.data import (
     CLASSIFICATION,
     Dataset,
-    FoldSplit,
     LibsvmParseError,
     NormStats,
     encode_classification,
@@ -40,6 +39,15 @@ class TestParseLibsvm:
     def test_index_below_one(self):
         with pytest.raises(LibsvmParseError, match="< 1"):
             parse_libsvm("1 0:1\n")
+
+    # float() reads each of these, and 1e400 overflows to inf
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("where", ["label", "value"])
+    def test_non_finite_reports_line(self, where, bad):
+        line = f"{bad} 1:0.5" if where == "label" else f"1 1:{bad}"
+        with pytest.raises(LibsvmParseError, match=f"^line 2: non-finite {where} ") as info:
+            parse_libsvm(f"1 1:0.5\n{line}\n2 1:1\n")
+        assert info.value.line_no == 2
 
     def test_empty_input(self):
         with pytest.raises(LibsvmParseError, match="empty"):
@@ -105,6 +113,17 @@ class TestStandardize:
         bad = NormStats(np.zeros(5), np.ones(5), np.zeros(1), np.ones(1))
         with pytest.raises(ValueError, match="features"):
             standardize(ds, bad)
+
+    # finite entries, non-finite standardized values: refused once per call, where they arise
+    def test_overflowing_fit_rejected(self):
+        for feats, targs in [(np.full((4, 1), 1e308), np.zeros(4)), (np.ones((4, 1)), np.full(4, -1e308))]:
+            with pytest.raises(ValueError, match="not finite"):
+                standardize(Dataset("big", feats, targs))
+
+    def test_overflowing_test_fold_rejected(self):
+        _, stats = standardize(Dataset("train", np.array([[0.0], [0.2]]), np.zeros(2)))
+        with pytest.raises(ValueError, match="not finite"):
+            standardize(Dataset("test", np.array([[1e308]]), np.zeros(1)), stats)
 
 
 class TestOneHot:
@@ -180,29 +199,13 @@ class TestSynth:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.targets, b.targets)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            synth_regression(0, 0.1, 0)
-
     def test_feature_range(self):
         ds = synth_regression(500, 0.0, 1)
         assert ds.features.min() >= -1.0 and ds.features.max() <= 1.0
 
 
 class TestDatasetInvariants:
-    def test_one_hot_enforced(self):
-        with pytest.raises(ValueError, match="one-hot"):
-            Dataset("bad", np.ones((2, 1)), np.array([[0.5, 0.5], [1, 0]]), task=CLASSIFICATION)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            Dataset("bad", np.array([[np.nan]]), np.zeros(1))
-
     def test_arrays_frozen(self):
         ds = synth_regression(5, 0.0, 0)
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
-
-    def test_fold_cover_enforced(self):
-        with pytest.raises(ValueError, match="partition"):
-            FoldSplit((np.array([0, 1]), np.array([3])))

@@ -919,6 +919,11 @@ class TestCheckpoint:
         ("net.layers.1.weights.2", float("inf"), "layer 1: non-finite parameters"),
         ("net.layers.0.biases.3", "0.25", "layer 0: biases must be a list of numbers"),
         ("net.layers.1.weights.0", True, "layer 1: weights must be a list of numbers"),
+        # JSON integers past float range: float() and numpy raise OverflowError, not a named ValueError
+        pytest.param("param", int("9" * 400), "checkpoint param is an integer too large for a float",
+                     id="param-400-nines"),
+        pytest.param("net.layers.0.weights.1", 10**400, "layer 0: weights hold an integer too large for a float",
+                     id="weight-10**400"),
     ])
     def test_malformed_field_named(self, field, value, message):
         doc = json.loads(ensemble_to_json(build_ensemble(2, [4], 1, 3, MethodConfig("sea", 0.5), seed=11)))

@@ -216,6 +216,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="grid values must be finite"):
             small_cfg(grid=grid)
 
+    def test_synth_needs_a_sample(self):
+        # SynthSpec is the synthetic set's door; synth_regression takes n as given
+        with pytest.raises(ValueError, match="synthetic dataset needs n >= 1"):
+            SynthSpec(n=0)
+
     @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf"), -0.1])
     def test_synth_noise_finite(self, noise_sd):
         with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
