@@ -101,7 +101,7 @@ class FoldSplit:
         return np.sort(np.concatenate(rest))
 
 
-def parse_libsvm(text: str | bytes, n_features: int | None = None, name: str = "libsvm") -> Dataset:
+def parse_libsvm(text: str, n_features: int | None = None, name: str = "libsvm") -> Dataset:
     """Parse LIBSVM text (`<label> <i1>:<v1> ...`, 1-based strictly increasing indices).
 
     The door for file data: a malformed line, or a label or value that reads
@@ -110,8 +110,6 @@ def parse_libsvm(text: str | bytes, n_features: int | None = None, name: str = "
     target column; classification encoding is a separate step
     (see :func:`encode_classification`).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     labels: list[float] = []
     rows: list[list[tuple[int, float]]] = []
     max_index = 0

@@ -265,8 +265,9 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
     sum_r c_r (f_r - t_r) / n. Bagging takes the batch and gathers the drawn
     rows itself, or the (P*M, w, D) inputs and (P*M, w, O) targets of
     :func:`drawn_batch`, gathered once for many steps. If any learner's
-    update is non-finite, the :class:`DivergenceError` flags every such
-    learner and the stack is left unchanged. The forward and backward arrays
+    update is non-finite, the stack is left unchanged and the
+    :class:`DivergenceError`'s ``mask``, one flag per learner of the stack,
+    flags every such learner. The forward and backward arrays
     go to ``ens.work``, where the next step of the same shape reuses them.
     """
     x = np.asarray(x, dtype=np.float64)

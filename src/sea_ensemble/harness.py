@@ -2,10 +2,10 @@
 
 A sweep is the Cartesian product (parameter grid) x (ensemble sizes) x
 (folds) for one method on one dataset. Each (ensemble size, fold) column of
-grid points is one job, which standardizes the fold, builds the initial
-learners and scores the untrained ensemble once for all its grid points,
-then trains the points as one stack of P*M learners, in chunks of at most
-``STACK_BYTES`` per layer activation;
+grid points is one job, which standardizes the fold and builds the initial
+learners once for all its grid points, then trains the points as one stack
+of P*M learners, in chunks of at most ``STACK_BYTES`` per layer activation.
+Each grid point gives one :class:`SweepRow`, one line of ``sweep.csv``;
 rows are sorted before persistence so output files are byte-identical for
 a given config regardless of worker count.
 
@@ -22,7 +22,7 @@ import logging
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,8 @@ BOUNDARY_CSV_HEADER = "param,metric,is_plateau,is_boundary"
 BOUNDS_CSV_HEADER = "M,lambda_1,lambda_sea,gamma_1,gamma_sea,k_lo,k_hi"
 DIVERSITY_CSV_HEADER = "param,std_empirical,std_predicted,metric"
 
-# Metric value substituted for diverged runs in plain aggregation.
+# RMSE substituted for diverged regression runs, and the ceiling of a boundary
+# curve's metrics. A diverged classification run enters as 0.0, the worst accuracy.
 BOUNDARY_METRIC_CAP = 1e6
 
 # Boundary curves for regression cap at the trivial-predictor level: targets
@@ -226,10 +227,6 @@ def acc(preds: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(preds.argmax(axis=1) == targets.argmax(axis=1)))
 
 
-def metric_for_task(task: str):
-    return rmse if task == REGRESSION else acc
-
-
 def ensemble_metric(preds: np.ndarray, targets: np.ndarray, task: str) -> float:
     """The task metric of the mean of an (M, N, O) prediction stack; NaN when that mean is rounding noise.
 
@@ -246,9 +243,10 @@ def ensemble_metric(preds: np.ndarray, targets: np.ndarray, task: str) -> float:
     does.
     """
     fbar = preds.mean(axis=0)
-    if not rmse(fbar, targets) > preds.shape[0] * np.finfo(np.float64).eps * np.abs(preds).max():
+    error = rmse(fbar, targets)
+    if not error > preds.shape[0] * np.finfo(np.float64).eps * np.abs(preds).max():
         return float("nan")
-    return metric_for_task(task)(fbar, targets)
+    return error if task == REGRESSION else acc(fbar, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +277,12 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     """Every grid point of one (M, fold) column: train on K-1 folds, score the held-out fold.
 
     What the grid points share is done once: the standardization (fitted on
-    the training folds only), the initial learners and bagging's bootstrap,
-    and the untrained ensemble's metric. The grid points then train as P
-    copies of the initial learners on one (P*M, fan_out, fan_in) stack, in
-    :func:`train_stack`, in chunks of at most ``STACK_BYTES`` per activation.
-    The chunks share one kernel workspace, so a column allocates its step
-    buffers once per shape, not once per chunk.
+    the training folds only), the initial learners and bagging's bootstrap.
+    The grid points then train as P copies of the initial learners on one
+    (P*M, fan_out, fan_in) stack, in :func:`train_stack`, in chunks of at
+    most ``STACK_BYTES`` per activation. The chunks share one kernel
+    workspace, so a column allocates its step buffers once per shape, not
+    once per chunk.
     """
     train_idx = split.train_indices(fold)
     test_idx = split.test_indices(fold)
@@ -304,9 +302,6 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
         seed=fold_seed(cfg, fold),
         n_train=train.n_samples,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        preds0, _ = predictions_batch(untrained, eval_ds.features)
-        epoch0 = ensemble_metric(preds0, eval_ds.targets, ds.task)
     n_rows = epoch_batches(cfg, train.n_samples)[0].stop
     chunk = max(1, STACK_BYTES // (8 * m * max(cfg.hidden + (train.n_outputs,)) * n_rows))
     rows = []
@@ -315,17 +310,12 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
         grid = cfg.grid[start : start + chunk]
         stack = untrained.take([0] * len(grid), grid)
         stack.work = work
-        rows += train_stack(cfg, stack, train, eval_ds, fold, epoch0)
+        rows += train_stack(cfg, stack, train, eval_ds, fold)
     return rows
 
 
 def train_stack(
-    cfg: ExperimentConfig,
-    ens: EnsembleModel,
-    train: Dataset,
-    eval_ds: Dataset,
-    fold: int,
-    epoch0: float,
+    cfg: ExperimentConfig, ens: EnsembleModel, train: Dataset, eval_ds: Dataset, fold: int
 ) -> list[SweepRow]:
     """Train a stack of P ensembles for ``cfg.epochs`` and score each on ``eval_ds``: one row per ensemble.
 
@@ -334,8 +324,9 @@ def train_stack(
     so sweeps past the theoretical boundary run to completion. An ensemble
     that finishes with a non-finite or rounding-noise metric
     (:func:`ensemble_metric`) is flagged with all its epochs. Each row is
-    bitwise what its ensemble trained alone gives, and carries ``epoch0``.
-    Bagging's per-learner rows are gathered once per stack, not per step.
+    bitwise what its ensemble trained alone gives. Only the trained
+    ensembles are scored, one forward pass each. Bagging's per-learner rows
+    are gathered once per stack, not per step.
     """
     params = [float(p) for p in ens.params]
     live = list(range(len(params)))  # the ensembles still on the stack, in stack order
@@ -366,9 +357,9 @@ def train_stack(
             value = ensemble_metric(preds, eval_ds.targets, eval_ds.task)
             if np.isfinite(value):  # parameters can stay finite while the predictions blow up
                 rows[point] = SweepRow(ens.config.method, params[point], ens.m, fold, value,
-                                       theory.empirical_std(preds), cfg.epochs, False, epoch0)
+                                       theory.empirical_std(preds), cfg.epochs, False)
     nan = float("nan")
-    return [row or SweepRow(ens.config.method, p, ens.m, fold, nan, nan, epochs.get(j, cfg.epochs), True, epoch0)
+    return [row or SweepRow(ens.config.method, p, ens.m, fold, nan, nan, epochs.get(j, cfg.epochs), True)
             for j, (row, p) in enumerate(zip(rows, params))]
 
 
@@ -386,6 +377,11 @@ def epoch_batches(cfg: ExperimentConfig, n: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (method, param, M, fold) cell, whose fields in order are the ``sweep.csv`` columns.
+
+    A diverged cell has metric and std NaN, and counts the epochs it completed.
+    """
+
     method: str
     param: float
     m: int
@@ -394,9 +390,6 @@ class SweepRow:
     std: float
     epochs: int
     diverged: bool
-    # in-memory only: the untrained-ensemble metric on the same fold; not
-    # part of the persisted CSV schema, so excluded from equality
-    epoch0_metric: float = field(default=float("nan"), compare=False)
 
     def sort_key(self):
         return (self.method, self.param, self.m, self.fold)
@@ -465,14 +458,17 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 def boundary_curve(result: SweepResult, m: int) -> list[tuple[float, float]]:
     """(param, fold-mean metric) pairs of ensemble size m, sorted by param: the estimate_real_boundary input.
 
-    Diverged or beyond-cap rows enter the mean as BOUNDARY_METRIC_CAP, so fully
+    Diverged rows enter the mean at the task's worst value, BOUNDARY_METRIC_CAP
+    for RMSE and 0.0 for accuracy, and beyond-cap rows at the cap, so fully
     diverged regions aggregate to a flat value. Regression means are then clipped
     at TRIVIAL_RMSE_LEVEL: worse-than-untrained points share one plateau level.
     """
-    cap = TRIVIAL_RMSE_LEVEL if result.task == REGRESSION else float("inf")
+    regression = result.task == REGRESSION
+    cap = TRIVIAL_RMSE_LEVEL if regression else float("inf")
+    diverged = BOUNDARY_METRIC_CAP if regression else 0.0
     curve = []
     for param in sorted({r.param for r in result.rows if r.m == m}):
-        vals = [min(r.metric, BOUNDARY_METRIC_CAP) if np.isfinite(r.metric) else BOUNDARY_METRIC_CAP
+        vals = [min(r.metric, BOUNDARY_METRIC_CAP) if np.isfinite(r.metric) else diverged
                 for r in result.rows if r.param == param and r.m == m]
         curve.append((param, min(float(np.mean(vals)), cap)))
     return curve
@@ -503,9 +499,11 @@ def estimate_real_boundary(curve, task: str) -> BoundaryEstimate:
     The plateau is the maximal trailing run (minimum length 2, grown from the
     right) whose relative spread stays under 2%; its mean is the
     low-performance level. The boundary is the largest parameter whose metric
-    beats that level by at least 5% (RMSE: <= 0.95x, ACC: >= 1.05x). Returns
-    boundary_param None when no point qualifies. Non-finite metrics enter as
-    BOUNDARY_METRIC_CAP.
+    beats that level by at least 5% (RMSE: <= 0.95x, ACC: >= 1.05x and
+    above it, so nothing ties a 0.0 plateau). Returns boundary_param None
+    when no point qualifies. Metrics are capped at BOUNDARY_METRIC_CAP;
+    non-finite ones enter as the task's worst value, the cap for RMSE and
+    0.0 for accuracy.
     """
     pts = [(float(p), float(v)) for p, v in curve]
     if len(pts) < MIN_BOUNDARY_POINTS:
@@ -513,7 +511,8 @@ def estimate_real_boundary(curve, task: str) -> BoundaryEstimate:
     params = [p for p, _ in pts]
     if any(b <= a for a, b in zip(params, params[1:])):
         raise ValueError("curve must be sorted by strictly increasing parameter")
-    metrics = [v if np.isfinite(v) and v < BOUNDARY_METRIC_CAP else BOUNDARY_METRIC_CAP for _, v in pts]
+    diverged = BOUNDARY_METRIC_CAP if task == REGRESSION else 0.0
+    metrics = [min(v, BOUNDARY_METRIC_CAP) if np.isfinite(v) else diverged for _, v in pts]
 
     def spread_ok(vals) -> bool:
         lo, hi = min(vals), max(vals)
@@ -532,7 +531,7 @@ def estimate_real_boundary(curve, task: str) -> BoundaryEstimate:
     if task == REGRESSION:
         qualifies = [v <= (1.0 - BOUNDARY_MARGIN) * plateau for v in metrics]
     else:
-        qualifies = [v >= (1.0 + BOUNDARY_MARGIN) * plateau for v in metrics]
+        qualifies = [v >= (1.0 + BOUNDARY_MARGIN) * plateau and v > plateau for v in metrics]
     boundary = None
     for p, q in zip(params, qualifies):
         if q:
@@ -575,7 +574,7 @@ def diversity_profile(result: SweepResult, m: int) -> DiversityProfile:
     for param in grid:
         finite = [r for r in rows if r.param == param and not r.diverged]
         if not finite:
-            raise DivergenceError(f"all folds diverged at param={param}")
+            raise RuntimeError(f"all folds diverged at param={param}")
         stds.append(float(np.mean([r.std for r in finite])))
         mets.append(float(np.mean([r.metric for r in finite])))
     r2 = theory.linearity_score(np.asarray(grid), np.asarray(stds))
@@ -613,12 +612,11 @@ def _write_csv(path: Path, header: str, rows) -> None:
     _write_text(path, "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n")
 
 
-def persist_sweep(result: SweepResult, outdir: str | Path, prefix: str = "") -> list[Path]:
+def persist_sweep(result: SweepResult, outdir: str | Path) -> list[Path]:
     outdir = Path(outdir)
-    csv_path = outdir / f"{prefix}sweep.csv"
-    rows = ((r.method, r.param, r.m, r.fold, r.metric, r.std, r.epochs, r.diverged) for r in result.rows)
-    _write_csv(csv_path, SWEEP_CSV_HEADER, rows)
-    meta_path = outdir / f"{prefix}sweep.json"
+    csv_path = outdir / "sweep.csv"
+    _write_csv(csv_path, SWEEP_CSV_HEADER, map(astuple, result.rows))
+    meta_path = outdir / "sweep.json"
     meta = {"format": CONFIG_FORMAT, "task": result.task, "config": json.loads(result.fingerprint)}
     _write_text(meta_path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return [csv_path, meta_path]

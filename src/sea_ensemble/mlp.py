@@ -60,11 +60,13 @@ import numpy as np
 
 
 class DivergenceError(RuntimeError):
-    """An update produced a non-finite parameter; on a stack, ``mask`` flags each such learner."""
+    """An update produced a non-finite parameter; ``mask`` flags each learner that holds one.
 
-    def __init__(self, message: str, learner: int | None = None, mask: np.ndarray | None = None):
-        super().__init__(message)
-        self.learner = learner
+    The mask is (M,) for a stack and 0-d (True) for one network.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        super().__init__(f"non-finite parameter after update in learners {np.flatnonzero(mask).tolist()}")
         self.mask = mask
 
 
@@ -114,12 +116,6 @@ def _blocks(theta: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
         blocks.append(theta[..., start:stop].reshape(lead + (fan_out, fan_in + 1)))
         start = stop
     return tuple(blocks)
-
-
-def _first_bad_layer(finite: np.ndarray, shapes) -> int:
-    """The layer holding the first False of one network's (n_params,) finiteness flags."""
-    ends = np.cumsum([fan_out * (fan_in + 1) for fan_out, fan_in in shapes])
-    return int(np.searchsorted(ends, np.argmin(finite), side="right"))
 
 
 def init_mlp(d_in: int, hidden: list[int], d_out: int, seed: int) -> MLP:
@@ -260,8 +256,8 @@ def sgd_step(m: MLP, grad: np.ndarray, alpha: float) -> None:
     ``m`` is rebound to it and its blocks; the old arrays are not written
     into, so views and copies taken before the step keep their values.
     A non-finite result raises :class:`DivergenceError` and leaves ``m``
-    unchanged; on a stack its ``mask`` flags every learner with a non-finite
-    parameter and its ``learner`` is the lowest of them.
+    unchanged; its ``mask``, (M,) for a stack and 0-d for one network, flags
+    every learner with a non-finite parameter.
     """
     if not 0 < alpha < np.inf:
         raise ValueError(f"learning rate must be positive and finite, got {alpha}")
@@ -273,8 +269,5 @@ def sgd_step(m: MLP, grad: np.ndarray, alpha: float) -> None:
         np.subtract(m.theta, theta, out=theta)
     finite = np.isfinite(theta)
     if not finite.all():
-        mask = None if theta.ndim == 1 else ~finite.all(axis=-1)
-        learner = None if mask is None else int(np.argmax(mask))
-        layer = _first_bad_layer(finite if learner is None else finite[learner], m.shapes)
-        raise DivergenceError(f"non-finite parameter after update in layer {layer}", learner, mask)
+        raise DivergenceError(~finite.all(axis=-1))
     m.theta, m.blocks = theta, _blocks(theta, m.shapes)

@@ -290,14 +290,20 @@ class TestTrain:
         assert mini == ensemble_to_json(ens)
         assert mini != full
 
-    def test_diverged_run_exits_2_without_checkpoint(self, tmp_path, caplog):
+    @pytest.mark.parametrize("flags,logged", [
         # nclstar far past its boundary: every parameter stays finite, but the
         # predictions reach ~1e136 and the ensemble mean is rounding noise
-        args = ["train", "--method", "nclstar", "--param", "2", "--m", "5", "--alpha", "0.3", "--batch-size", "7",
-                "--synth-n", "200", "--epochs", "10", "--workers", "1", "--outdir", str(tmp_path)]
+        ("--method nclstar --param 2 --m 5 --alpha 0.3 --batch-size 7 --synth-n 200 --epochs 10",
+         "diverged after 10 of 10 epochs"),
+        # sea far past its boundary: an update overflows, a DivergenceError in the training loop
+        ("--method sea --param 8 --m 3 --alpha 1 --epochs 300 --synth-n 40 --hidden 4",
+         "diverged after 108 of 300 epochs"),
+    ], ids=["rounding-noise", "overflow"])
+    def test_diverged_run_exits_2_without_checkpoint(self, tmp_path, caplog, flags, logged):
+        args = ["train", *flags.split(), "--workers", "1", "--outdir", str(tmp_path)]
         assert main(args) == EXIT_RUNTIME
         assert not (tmp_path / "checkpoint.json").exists()
-        assert "diverged after 10 of 10 epochs" in caplog.text
+        assert logged in caplog.text
 
     def test_out_of_bounds_k_warns_but_trains(self, tmp_path, caplog):
         # sea's interval for M=5 is (-0.25, 2.25); k is chosen here, so it is warned of here

@@ -420,7 +420,7 @@ class TestStackedStep:
         before = [a.copy() for a in ens.net.weights + ens.net.biases]
         with pytest.raises(DivergenceError) as exc:
             train_epoch(ens, ds.features, ds.targets, 0.1)
-        assert exc.value.learner == 2
+        assert exc.value.mask.tolist() == [i == 2 for i in range(5)]
         after = ens.net.weights + ens.net.biases
         assert len(after) == len(before)
         for a, b in zip(after, before):

@@ -7,7 +7,7 @@ import pytest
 
 from sea_ensemble import harness, theory
 from sea_ensemble.data import CLASSIFICATION, Dataset, standardize, synth_regression
-from sea_ensemble.ensemble import MethodConfig, bootstrap_indices, build_ensemble, predictions_batch
+from sea_ensemble.ensemble import MethodConfig, bootstrap_indices, build_ensemble
 from sea_ensemble.mlp import init_mlp
 from sea_ensemble.seeds import derive_seed
 from sea_ensemble.harness import (
@@ -294,20 +294,13 @@ class TestRunCv:
         a = cell_rows(cfg, "sea", 0.5, 3)
         b = cell_rows(cfg, "sea", 0.5, 3)
         assert a == b
-        assert [r.epoch0_metric for r in a] == [r.epoch0_metric for r in b]
+        assert all(r.epochs == cfg.epochs and not r.diverged for r in a)
 
     def test_independent_equals_sea_k0(self):
         cfg = small_cfg()
         a = cell_rows(cfg, "sea", 0.0, 3)
         b = cell_rows(cfg, "independent", 0.0, 3)
         assert [r.metric for r in a] == [r.metric for r in b]
-
-    def test_epoch0_metric_present(self):
-        cfg = small_cfg(epochs=5)
-        results = cell_rows(cfg, "sea", 0.5, 3)
-        for r in results:
-            assert np.isfinite(r.epoch0_metric)
-            assert r.epochs == 5 and not r.diverged
 
     def test_divergence_flagged_not_raised(self):
         # far beyond the boundary at a hot learning rate: must flag, not throw
@@ -339,7 +332,7 @@ class TestRunCv:
 
 
 def separate_cell(cfg: ExperimentConfig, param: float, m: int, fold: int) -> SweepRow:
-    """One sweep cell built on its own: its own standardization, ensemble and epoch-0 pass."""
+    """One sweep cell built on its own: its own standardization and ensemble."""
     ds = load_dataset(cfg)
     split = fold_split_for(cfg, ds.n_samples)
     train_raw, test_raw = (Dataset(ds.name, ds.features[i], ds.targets[i], task=ds.task)
@@ -349,15 +342,12 @@ def separate_cell(cfg: ExperimentConfig, param: float, m: int, fold: int) -> Swe
     eval_ds = train if cfg.metric_on_train else test
     ens = build_ensemble(train.n_features, list(cfg.hidden), train.n_outputs, m,
                          MethodConfig(cfg.method, param), seed=fold_seed(cfg, fold), n_train=train.n_samples)
-    with np.errstate(over="ignore", invalid="ignore"):
-        epoch0 = harness.metric_for_task(ds.task)(predictions_batch(ens, eval_ds.features)[0].mean(axis=0),
-                                                  eval_ds.targets)
-    (row,) = harness.train_stack(cfg, ens, train, eval_ds, fold, epoch0)
+    (row,) = harness.train_stack(cfg, ens, train, eval_ds, fold)
     return row
 
 
 def row_bits(r: SweepRow) -> tuple:
-    return (r.method, r.param, r.m, r.fold, repr(r.metric), repr(r.std), r.epochs, r.diverged, repr(r.epoch0_metric))
+    return (r.method, r.param, r.m, r.fold, repr(r.metric), repr(r.std), r.epochs, r.diverged)
 
 
 class TestColumn:
@@ -550,14 +540,15 @@ class TestSweep:
         assert len(run_sweep(small_cfg(epochs=2, workers=2)).rows) == 4
 
     def test_curve_caps_divergence(self):
+        # a diverged classification cell scores the worst accuracy, not the cap
         rows = [
             SweepRow("sea", 0.0, 5, 0, 0.2, 0.1, 10, False),
             SweepRow("sea", 3.0, 5, 0, float("nan"), float("nan"), 4, True),
+            SweepRow("sea", 3.0, 5, 1, 0.6, 0.1, 10, False),
         ]
         result = harness.SweepResult(rows, CLASSIFICATION, "{}")
         curve = harness.boundary_curve(result, 5)
-        assert curve[0] == (0.0, 0.2)
-        assert curve[1] == (3.0, BOUNDARY_METRIC_CAP)
+        assert curve == [(0.0, 0.2), (3.0, 0.3)]
 
     def test_boundary_curve_caps_at_trivial_level(self):
         rows = [
@@ -603,6 +594,21 @@ class TestBoundaryEstimator:
         est = estimate_real_boundary(curve, "classification")
         assert est.plateau == pytest.approx(0.5)
         assert est.boundary_param == 2  # 0.85 >= 1.05 * 0.5
+
+    @pytest.mark.parametrize("metrics,plateau,boundary", [
+        ([0.9, 0.9, 0.85, 0.5, None, None], 0.0, 1.5),  # nothing ties the 0.0 plateau of the diverged tail
+        ([0.9, None, 0.5, 0.5, 0.5, 0.5], 0.5, 0.0),    # the diverged point is not the boundary
+    ], ids=["diverged-tail", "diverged-inside"])
+    def test_accuracy_divergence_is_worst(self, metrics, plateau, boundary):
+        # fold-mean rows of params 0, 0.5, ..., 2.5, one fold each; None is a diverged cell
+        nan = float("nan")
+        rows = [SweepRow("sea", 0.5 * i, 5, 0, nan if v is None else v, nan if v is None else 0.1, 10, v is None)
+                for i, v in enumerate(metrics)]
+        curve = harness.boundary_curve(harness.SweepResult(rows, CLASSIFICATION, "{}"), 5)
+        assert [v for _, v in curve] == [0.0 if v is None else v for v in metrics]
+        for points in (curve, [(p, nan if v is None else v) for (p, _), v in zip(curve, metrics)]):
+            est = estimate_real_boundary(points, CLASSIFICATION)
+            assert (est.plateau, est.boundary_param) == (plateau, boundary)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="5"):
@@ -673,6 +679,15 @@ class TestDiversityProfile:
         result = run_sweep(small_cfg(grid=(0.0, 1.0), epochs=1))
         with pytest.raises(ValueError, match="3 points"):
             harness.diversity_profile(result, 3)
+
+    def test_all_folds_diverged_is_not_a_step_error(self):
+        # DivergenceError means a step's non-finite update; a profile with no finite cell is a plain RuntimeError
+        nan = float("nan")
+        rows = [SweepRow("sea", p, 3, f, *((nan, nan, 2, True) if p == 1.0 else (0.5, 0.1, 5, False)))
+                for p in (0.0, 0.5, 1.0) for f in (0, 1)]
+        with pytest.raises(RuntimeError, match="all folds diverged at param=1.0") as exc:
+            harness.diversity_profile(harness.SweepResult(rows, "regression", "{}"), 3)
+        assert not isinstance(exc.value, harness.DivergenceError)
 
     def test_profile_fields(self):
         result = run_sweep(small_cfg(grid=(0.0, 0.5, 1.0), m_list=(3, 4), epochs=20))
