@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, gradcheck, harness
 from .data import standardize
 from .ensemble import METHODS, MethodConfig, build_ensemble, ensemble_to_json
-from .harness import ExperimentConfig, SynthSpec
+from .harness import ExperimentConfig
 
 log = logging.getLogger("sea_ensemble.cli")
 
@@ -158,6 +158,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             base = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(base, dict):
+            raise UsageError(f"config {path} must be a JSON object")
 
     if args.synth_n is not None or args.synth_noise is not None:
         synth = dict(base.get("synth") or {})
@@ -168,8 +170,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         base["synth"] = synth
     base.update((key, value) for key, value in vars(args).items()
                 if key in ExperimentConfig.__dataclass_fields__ and value is not None)
-    if base.get("dataset_path"):
-        base["synth"] = None
     if "outdir" not in base or base["outdir"] is None:
         base["outdir"] = os.environ.get(OUTDIR_ENV, "results")
     if "workers" not in base or base["workers"] is None:

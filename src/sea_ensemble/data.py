@@ -223,31 +223,18 @@ def _apply_columns(a: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarr
         return (a - np.where(keep, 0.0, mean)) / np.where(keep, 1.0, std)
 
 
-def one_hot_encode(labels, k: int) -> np.ndarray:
-    """Encode integer labels in 0..k-1 as one-hot rows."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a 1-D sequence")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        bad = labels[(labels < 0) | (labels >= k)][0]
-        raise ValueError(f"label {bad} outside 0..{k - 1}")
-    out = np.zeros((labels.shape[0], k))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def encode_classification(ds: Dataset) -> Dataset:
     """Turn raw single-column labels into a one-hot classification dataset.
 
     Distinct raw label values are remapped to contiguous ids 0..K-1 in
-    sorted order (LIBSVM labels may be {-1,+1} or {1..K}).
+    sorted order (LIBSVM labels may be {-1,+1} or {1..K}); label id j becomes
+    row j of the K x K identity.
     """
     if ds.n_outputs != 1:
         raise ValueError("raw labels must be a single target column")
     raw = ds.targets[:, 0]
     values = np.unique(raw)
-    ids = np.searchsorted(values, raw)
-    onehot = one_hot_encode(ids, len(values))
+    onehot = np.eye(len(values))[np.searchsorted(values, raw)]
     return Dataset(ds.name, ds.features, onehot, task=CLASSIFICATION)
 
 

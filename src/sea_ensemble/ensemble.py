@@ -178,11 +178,6 @@ def drawn_batch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray) -> tuple[np.nd
 # predictions
 
 
-def predictions_batch(ens: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """All learner outputs on an (N, D) batch: returns (M, N, O) plus the stacked trace."""
-    return forward_batch(ens.net, x)
-
-
 def complementary_prediction(preds: np.ndarray, t: np.ndarray) -> np.ndarray:
     """g = M (t - fbar) + f for every learner of an (M, ...) stack.
 
@@ -228,8 +223,9 @@ def output_gradients(preds: np.ndarray, t: np.ndarray, config: MethodConfig, par
     M learners at ``params[p]`` (default: one ensemble at ``config.param``).
     The targets ``t`` are (N, O), shared by every learner, or (P*M, N, O),
     one row set per learner as bagging's drawn rows.
-    The nclstar coefficient is computed as gamma (M-1)/M so that the identity
-    with the ncl gradient at lambda = gamma (M-1)/M is bitwise exact.
+    ncl and nclstar are one expression, ``err - c (f - fbar)``: c is lambda
+    for ncl and gamma (M-1)/M for nclstar, so nclstar at gamma is bitwise ncl
+    at lambda = gamma (M-1)/M.
     """
     p = np.asarray([config.param] if params is None else params).reshape(-1, 1, 1, 1)
     f = preds.reshape(len(p), -1, *preds.shape[1:])
@@ -242,10 +238,9 @@ def output_gradients(preds: np.ndarray, t: np.ndarray, config: MethodConfig, par
         k = p if config.method == "sea" else 0.0
         comp_err = err - m * (fbar - t)  # g_i - t
         return (err - k * comp_err).reshape(preds.shape)
-    if config.method == "ncl":
-        return (err - p * (f - fbar)).reshape(preds.shape)
-    if config.method == "nclstar":
-        return (err - p * (m - 1.0) / m * (f - fbar)).reshape(preds.shape)
+    if config.method in ("ncl", "nclstar"):
+        c = p if config.method == "ncl" else p * (m - 1.0) / m
+        return (err - c * (f - fbar)).reshape(preds.shape)
     raise ValueError(f"unknown method {config.method!r}")
 
 

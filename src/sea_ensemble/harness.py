@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,10 +47,9 @@ from .ensemble import (
     MethodConfig,
     build_ensemble,
     drawn_batch,
-    predictions_batch,
     train_epoch,
 )
-from .mlp import DivergenceError
+from .mlp import DivergenceError, forward_batch
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -103,6 +103,13 @@ def _as_int(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_real(name: str, value):
+    """``value`` if it is a real number; a bool, a string or another type is an error that names the field."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of the built-in synthetic regression dataset."""
@@ -114,7 +121,7 @@ class SynthSpec:
         object.__setattr__(self, "n", _as_int("synth n", self.n))
         if self.n < 1:
             raise ValueError("synthetic dataset needs n >= 1")
-        if not np.isfinite(self.noise_sd) or self.noise_sd < 0:
+        if not np.isfinite(_as_real("synth noise_sd", self.noise_sd)) or self.noise_sd < 0:
             raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
 
 
@@ -140,7 +147,7 @@ class ExperimentConfig:
     metric_on_train: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        object.__setattr__(self, "grid", tuple(float(_as_real("grid", g)) for g in self.grid))
         object.__setattr__(self, "m_list", tuple(_as_int("m_list", m) for m in self.m_list))
         object.__setattr__(self, "hidden", tuple(_as_int("hidden", h) for h in self.hidden))
         for name in ("folds", "epochs", "seed", "batch_size", "workers"):
@@ -168,7 +175,7 @@ class ExperimentConfig:
             raise ValueError("epochs must be >= 1")
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
-        if not np.isfinite(self.alpha) or self.alpha <= 0:
+        if not np.isfinite(_as_real("alpha", self.alpha)) or self.alpha <= 0:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.task not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unknown task {self.task!r}")
@@ -184,17 +191,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Build a config from a (possibly partial) dict; missing keys keep defaults."""
+        """Build a config from a (possibly partial) dict; missing keys keep defaults.
+
+        The one home of the data-source rule: a nonempty ``dataset_path``
+        replaces the synthetic set, and ``synth`` is then ignored.
+        """
         d = dict(d)
         fmt = d.pop("format", CONFIG_FORMAT)
         if fmt != CONFIG_FORMAT:
             raise ValueError(f"unsupported config format {fmt!r}")
-        if "synth" in d:
-            synth = d.pop("synth")
-            d["synth"] = None if synth is None else SynthSpec(**synth)
-        elif d.get("dataset_path"):
-            # a file-backed config without an explicit synth key means no synth
+        if d.get("dataset_path"):
             d["synth"] = None
+        elif d.get("synth") is not None:
+            d["synth"] = SynthSpec(**d["synth"])
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:
@@ -273,25 +282,31 @@ def fold_seed(cfg: ExperimentConfig, fold: int) -> int:
     return derive_seed(cfg.seed, "fold", fold)
 
 
+def fold_data(cfg: ExperimentConfig, ds: Dataset, split: FoldSplit, fold: int) -> tuple[Dataset, Dataset]:
+    """One fold's training set and its scoring set: the held-out fold, or the training set with ``metric_on_train``.
+
+    The training folds are standardized with their own statistics and the
+    held-out fold with the same ones, so nothing of the held-out fold
+    reaches training. Every fold of a sweep is built here.
+    """
+    train_raw, test_raw = (Dataset(ds.name, ds.features[i], ds.targets[i], task=ds.task)
+                           for i in (split.train_indices(fold), split.test_indices(fold)))
+    train, stats = standardize(train_raw)
+    return train, train if cfg.metric_on_train else standardize(test_raw, stats)[0]
+
+
 def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fold: int) -> list[SweepRow]:
     """Every grid point of one (M, fold) column: train on K-1 folds, score the held-out fold.
 
-    What the grid points share is done once: the standardization (fitted on
-    the training folds only), the initial learners and bagging's bootstrap.
+    What the grid points share is done once: the fold's data
+    (:func:`fold_data`), the initial learners and bagging's bootstrap.
     The grid points then train as P copies of the initial learners on one
     (P*M, fan_out, fan_in) stack, in :func:`train_stack`, in chunks of at
     most ``STACK_BYTES`` per activation. The chunks share one kernel
     workspace, so a column allocates its step buffers once per shape, not
     once per chunk.
     """
-    train_idx = split.train_indices(fold)
-    test_idx = split.test_indices(fold)
-    train_raw = Dataset(ds.name, ds.features[train_idx], ds.targets[train_idx], task=ds.task)
-    test_raw = Dataset(ds.name, ds.features[test_idx], ds.targets[test_idx], task=ds.task)
-    train, stats = standardize(train_raw)
-    test, _ = standardize(test_raw, stats)
-    eval_ds = train if cfg.metric_on_train else test
-
+    train, eval_ds = fold_data(cfg, ds, split, fold)
     # the method's default parameter; each grid point sets its own
     untrained = build_ensemble(
         train.n_features,
@@ -353,7 +368,7 @@ def train_stack(
                             ens = ens.take(np.flatnonzero(~out))
                             steps = inputs(ens)
         for j, point in enumerate(live):
-            preds, _ = predictions_batch(ens.take([j]), eval_ds.features)
+            preds, _ = forward_batch(ens.take([j]).net, eval_ds.features)
             value = ensemble_metric(preds, eval_ds.targets, eval_ds.task)
             if np.isfinite(value):  # parameters can stay finite while the predictions blow up
                 rows[point] = SweepRow(ens.config.method, params[point], ens.m, fold, value,

@@ -29,7 +29,7 @@ from sea_ensemble.data import (
     standardize,
     synth_regression,
 )
-from sea_ensemble.ensemble import MethodConfig, build_ensemble, predictions_batch, train_epoch
+from sea_ensemble.ensemble import MethodConfig, build_ensemble, train_epoch
 from sea_ensemble.harness import (
     ExperimentConfig,
     SynthSpec,
@@ -37,12 +37,14 @@ from sea_ensemble.harness import (
     diversity_profile,
     ensemble_metric,
     estimate_real_boundary,
+    fold_data,
     fold_seed,
     fold_split_for,
     load_dataset,
     persist_sweep,
     run_sweep,
 )
+from sea_ensemble.mlp import forward_batch
 
 SEED = 2024
 WORKERS = min(16, os.cpu_count() or 1)
@@ -197,23 +199,20 @@ def test_criterion_6_empirical_boundary(boundary_sweep):
 
 
 def epoch0_level(cfg: ExperimentConfig, m: int) -> float:
-    """The untrained ensemble's metric on the held-out fold, as the mean over folds.
+    """The untrained ensemble's metric on the scoring set, as the mean over folds.
 
-    Each fold is built as the sweep builds it: the held-out fold standardized
-    with the training folds' statistics, and the method's initial ensemble
-    from the fold's seed. Every grid point of a fold starts from it.
+    Each fold's data comes from ``fold_data``, as the sweep's does, and its
+    ensemble is the method's initial one from the fold's seed. Every grid
+    point of a fold starts from it.
     """
     ds = load_dataset(cfg)
     split = fold_split_for(cfg, ds.n_samples)
     levels = []
     for fold in range(cfg.folds):
-        train_raw, test_raw = (Dataset(ds.name, ds.features[i], ds.targets[i], task=ds.task)
-                               for i in (split.train_indices(fold), split.test_indices(fold)))
-        train, stats = standardize(train_raw)
-        test, _ = standardize(test_raw, stats)
+        train, eval_ds = fold_data(cfg, ds, split, fold)
         ens = build_ensemble(train.n_features, list(cfg.hidden), train.n_outputs, m, MethodConfig(cfg.method),
                              seed=fold_seed(cfg, fold), n_train=train.n_samples)
-        levels.append(ensemble_metric(predictions_batch(ens, test.features)[0], test.targets, cfg.task))
+        levels.append(ensemble_metric(forward_batch(ens.net, eval_ds.features)[0], eval_ds.targets, cfg.task))
     return float(np.mean(levels))
 
 

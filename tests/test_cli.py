@@ -44,6 +44,14 @@ class TestUsage:
         assert main(["sweep", "--config", "/nonexistent.json"]) == EXIT_USAGE
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", ["[1, 2]", "null", '"x"', "3"])
+    def test_config_not_an_object(self, tmp_path, capsys, document):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(document)
+        assert main(["sweep", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: config {cfg} must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"epochs": 0}))
@@ -136,7 +144,9 @@ class TestUsage:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("key,value", [("epochs", 3.0), ("m_list", [2.7]), ("synth", {"n": 40.0}),
-                                           ("method", "foo"), ("metric_on_train", "no"), ("epochs", True)])
+                                           ("method", "foo"), ("metric_on_train", "no"), ("epochs", True),
+                                           ("alpha", True), ("alpha", "0.1"), ("grid", [True]), ("grid", ["0.5"]),
+                                           ("synth", {"noise_sd": False})])
     def test_float_for_integer_config_field_rejected_before_training(self, tmp_path, capsys, monkeypatch, key, value):
         def no_dataset(*args):
             raise AssertionError("loaded the dataset before rejecting the config")

@@ -8,7 +8,6 @@ from sea_ensemble.data import (
     NormStats,
     encode_classification,
     kfold_split,
-    one_hot_encode,
     parse_libsvm,
     serialize_libsvm,
     standardize,
@@ -102,7 +101,7 @@ class TestStandardize:
 
     def test_classification_targets_untouched(self):
         feats = np.array([[1.0], [2.0], [3.0]])
-        targs = one_hot_encode([0, 1, 0], 2)
+        targs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         ds = Dataset("c", feats, targs, task=CLASSIFICATION)
         out, stats = standardize(ds)
         np.testing.assert_array_equal(out.targets, targs)
@@ -127,23 +126,30 @@ class TestStandardize:
 
 
 class TestOneHot:
+    """encode_classification maps the distinct raw labels, ascending, onto the rows of the identity."""
+
+    @staticmethod
+    def encode(labels) -> np.ndarray:
+        ds = Dataset("labels", np.zeros((len(labels), 1)), np.asarray(labels, dtype=np.float64))
+        return encode_classification(ds).targets
+
     def test_basic(self):
-        np.testing.assert_array_equal(
-            one_hot_encode([0, 2], 3), [[1, 0, 0], [0, 0, 1]]
-        )
+        np.testing.assert_array_equal(self.encode([0, 2, 1]), [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
     def test_single(self):
-        np.testing.assert_array_equal(one_hot_encode([1], 2), [[0, 1]])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="label 3"):
-            one_hot_encode([3], 3)
+        np.testing.assert_array_equal(self.encode([1]), [[1]])
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 7, size=500)
-        oh = one_hot_encode(labels, 7)
+        oh = self.encode(labels)
         assert (oh.sum(axis=1) == 1.0).all()
+        np.testing.assert_array_equal(oh.argmax(axis=1), labels)
+
+    def test_any_label_values_encode_in_range(self):
+        # negative, fractional and large raw labels: ids come from their sorted distinct values
+        np.testing.assert_array_equal(self.encode([1e9, -3.5, 0.25, -3.5]),
+                                      [[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 0, 0]])
 
     def test_label_remap_sorted(self):
         ds = parse_libsvm("-1 1:1\n1 1:2\n-1 1:3\n")

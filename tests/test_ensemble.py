@@ -19,7 +19,6 @@ from sea_ensemble.ensemble import (
     ensemble_to_json,
     learner_losses,
     output_gradients,
-    predictions_batch,
     train_epoch,
 )
 from sea_ensemble.mlp import MLP, DivergenceError, backward_batch, forward_batch, sgd_step
@@ -77,7 +76,7 @@ def assert_fd_match(rng, config_of, n_states: int = 200) -> None:
 
 def sq_error(ens: EnsembleModel, x: np.ndarray, t: np.ndarray) -> float:
     """Mean over samples of sum_dims (fbar - t)^2."""
-    fbar = predictions_batch(ens, x)[0].mean(axis=0)
+    fbar = forward_batch(ens.net, x)[0].mean(axis=0)
     return float(((fbar - t) ** 2).sum(axis=1).mean())
 
 
@@ -255,16 +254,16 @@ class TestEnsemblePredict:
 
     def test_mean_of_equals(self):
         ens = self._two_constant_learners(1.5, 1.5)
-        np.testing.assert_allclose(predictions_batch(ens, np.array([[0.0]]))[0].mean(axis=0), [[1.5]])
+        np.testing.assert_allclose(forward_batch(ens.net, np.array([[0.0]]))[0].mean(axis=0), [[1.5]])
 
     def test_arithmetic_mean(self):
         ens = self._two_constant_learners(1.0, 3.0)
-        np.testing.assert_allclose(predictions_batch(ens, np.array([[7.0]]))[0].mean(axis=0), [[2.0]])
+        np.testing.assert_allclose(forward_batch(ens.net, np.array([[7.0]]))[0].mean(axis=0), [[2.0]])
 
     def test_symmetric_perturbation(self):
         base = 0.7
         ens = self._two_constant_learners(base + 0.3, base - 0.3)
-        np.testing.assert_allclose(predictions_batch(ens, np.array([[0.0]]))[0].mean(axis=0), [[base]])
+        np.testing.assert_allclose(forward_batch(ens.net, np.array([[0.0]]))[0].mean(axis=0), [[base]])
 
 
 class TestDispatch:
@@ -362,7 +361,7 @@ class TestTrainEpoch:
         # loss table and the predictions when a caller asks for them
         ds, _ = standardize(synth_regression(30, 0.1, 3))
         ens = build_ensemble(2, [4], 1, 4, MethodConfig("ncl", 0.5), seed=2)
-        preds, _ = predictions_batch(ens, ds.features)
+        preds, _ = forward_batch(ens.net, ds.features)
         losses = learner_losses(preds, preds, ds.targets, ens.config).mean(axis=1)
         assert train_epoch(ens, ds.features, ds.targets, 0.05) is None
         assert losses.shape == (4,)
@@ -623,10 +622,10 @@ class TestWorkspace:
     def test_results_do_not_alias_it(self):
         ds, _ = standardize(synth_regression(40, 0.1, 13))
         ens = self.stack("nclstar")
-        before, before_trace = predictions_batch(ens, ds.features)
+        before, before_trace = forward_batch(ens.net, ds.features)
         kept = before.copy()
         train_epoch(ens, ds.features, ds.targets, 0.1)
-        after, after_trace = predictions_batch(ens, ds.features)
+        after, after_trace = forward_batch(ens.net, ds.features)
         grad = backward_batch(ens.net, after_trace, np.ones_like(after))
         work = list(ens.work.values())
         assert work

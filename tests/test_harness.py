@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import os
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from sea_ensemble import harness, theory
-from sea_ensemble.data import CLASSIFICATION, Dataset, standardize, synth_regression
+from sea_ensemble.data import CLASSIFICATION, synth_regression
 from sea_ensemble.ensemble import MethodConfig, bootstrap_indices, build_ensemble
 from sea_ensemble.mlp import init_mlp
 from sea_ensemble.seeds import derive_seed
@@ -169,6 +170,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="exactly one"):
             small_cfg(dataset_path="x.libsvm")
 
+    @pytest.mark.parametrize("synth", [{"n": 40, "noise_sd": 0.3}, {"n": 0}, None])
+    def test_dataset_path_replaces_synth(self, synth):
+        # the CLI passes its merged document here; the dataset wins over any synth, valid or not
+        cfg = ExperimentConfig.from_dict({"dataset_path": "x.libsvm", "synth": synth})
+        assert cfg.dataset_path == "x.libsvm" and cfg.synth is None
+        assert ExperimentConfig.from_dict({"dataset_path": "x.libsvm"}) == cfg
+
+    @pytest.mark.parametrize("doc,field", [({"alpha": True}, "alpha"), ({"alpha": "0.1"}, "alpha"),
+                                           ({"grid": [True]}, "grid"), ({"grid": [0.0, "0.5"]}, "grid"),
+                                           ({"synth": {"noise_sd": False}}, "synth noise_sd"),
+                                           ({"synth": {"noise_sd": "0.1"}}, "synth noise_sd")])
+    def test_bool_or_string_for_float_field_named(self, doc, field):
+        with pytest.raises(TypeError, match=f"^{field} must be a number"):
+            ExperimentConfig.from_dict(doc)
+
     def test_roundtrip_dict(self):
         cfg = small_cfg()
         again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -289,6 +305,21 @@ class TestRunCv:
         split = fold_split_for(cfg, ds.n_samples)
         assert all(len(split.test_indices(f)) == 20 for f in range(5))
 
+    @pytest.mark.parametrize("metric_on_train", [False, True])
+    def test_fold_data_scales_by_training_folds(self, metric_on_train):
+        # the training folds set the statistics; the held-out fold is scaled by them, not by its own
+        cfg = small_cfg(metric_on_train=metric_on_train)
+        ds = load_dataset(cfg)
+        split = fold_split_for(cfg, ds.n_samples)
+        train, eval_ds = harness.fold_data(cfg, ds, split, 1)
+        for name in ("features", "targets"):
+            fit, held = (getattr(ds, name)[i] for i in (split.train_indices(1), split.test_indices(1)))
+            mean, std = fit.mean(axis=0), fit.std(axis=0)
+            np.testing.assert_array_equal(getattr(train, name), (fit - mean) / std)
+            if not metric_on_train:
+                np.testing.assert_array_equal(getattr(eval_ds, name), (held - mean) / std)
+        assert (eval_ds is train) == metric_on_train
+
     def test_deterministic(self):
         cfg = small_cfg()
         a = cell_rows(cfg, "sea", 0.5, 3)
@@ -334,12 +365,7 @@ class TestRunCv:
 def separate_cell(cfg: ExperimentConfig, param: float, m: int, fold: int) -> SweepRow:
     """One sweep cell built on its own: its own standardization and ensemble."""
     ds = load_dataset(cfg)
-    split = fold_split_for(cfg, ds.n_samples)
-    train_raw, test_raw = (Dataset(ds.name, ds.features[i], ds.targets[i], task=ds.task)
-                           for i in (split.train_indices(fold), split.test_indices(fold)))
-    train, stats = standardize(train_raw)
-    test, _ = standardize(test_raw, stats)
-    eval_ds = train if cfg.metric_on_train else test
+    train, eval_ds = harness.fold_data(cfg, ds, fold_split_for(cfg, ds.n_samples), fold)
     ens = build_ensemble(train.n_features, list(cfg.hidden), train.n_outputs, m,
                          MethodConfig(cfg.method, param), seed=fold_seed(cfg, fold), n_train=train.n_samples)
     (row,) = harness.train_stack(cfg, ens, train, eval_ds, fold)
@@ -483,6 +509,35 @@ class TestColumn:
         assert [p for _, p in works] == [2, 1]
         assert works[0][0] is works[1][0]
         assert {a.shape[-2] for a in works[0][0].values() if a.ndim == 3} == {3}  # the last chunk's learners
+
+
+class TestSeaIsNclAtRescaledStep:
+    """sea's output gradient (1-k) e_i + k M ebar is 1 + k(M-1) times ncl's at lambda = kM / (1 + k(M-1)).
+
+    So a sea sweep at alpha trains as ncl at lambda_from_k(k, M), and as nclstar at gamma_from_k(k, M),
+    at alpha (1 + k(M-1)), equal up to rounding. Over 8 seeds of nine configs (M 3 to 10, full batch
+    and 7- or 10-row batches, k in [0, 1.5]), the 656 ncl rows whose metric stayed below 10 agreed
+    with sea to 3.5e-14 relative in metric and 9.2e-15 in std, and 480 nclstar rows (six of the
+    configs) to 3.3e-14 and 7.7e-15; the tolerance is about 30 times that. Learners that blow up (k
+    past 1 at a large step) amplify the rounding, to 3.9e-5 in the other 64 ncl rows, and where an
+    update overflows the two runs can stop one or two epochs apart, so every row here stays bounded.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("m,n,hidden,epochs,alpha,batch_size",
+                             [(3, 80, (5,), 30, 0.1, None), (4, 80, (6,), 10, 0.01, 7)])
+    def test_rows_match(self, seed, m, n, hidden, epochs, alpha, batch_size):
+        grid = (0.0, 0.25, 0.5, 1.0, 1.5)
+        base = dict(synth=SynthSpec(n=n), m_list=(m,), folds=2, epochs=epochs, hidden=hidden, seed=seed,
+                    batch_size=batch_size)
+        sea = run_sweep(ExperimentConfig(method="sea", grid=grid, alpha=alpha, **base)).rows
+        for k, method in itertools.product(grid, ["ncl", "nclstar"]):
+            param = (theory.lambda_from_k if method == "ncl" else theory.gamma_from_k)(k, m)
+            other = run_sweep(ExperimentConfig(method=method, grid=(param,), alpha=alpha * (1 + k * (m - 1)), **base))
+            for a, b in zip([r for r in sea if r.param == k], other.rows, strict=True):
+                assert (a.epochs, a.diverged) == (b.epochs, b.diverged) == (epochs, False)
+                assert a.metric < 2.0  # bounded learners
+                np.testing.assert_allclose([b.metric, b.std], [a.metric, a.std], rtol=1e-12, atol=0)
 
 
 class TestSweep:
