@@ -142,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_div = sub.add_parser("diversity", help="prediction-std profile over the grid")
     _add_config_flags(p_div)
 
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p_grad.add_argument("--quick", action="store_true", help="smaller state counts")
+    sub.add_parser("gradcheck", help="finite-difference gradient verification")
 
     return parser
 
@@ -161,20 +160,17 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(base, dict):
             raise UsageError(f"config {path} must be a JSON object")
 
-    if args.synth_n is not None or args.synth_noise is not None:
-        synth = dict(base.get("synth") or {})
-        if args.synth_n is not None:
-            synth["n"] = args.synth_n
-        if args.synth_noise is not None:
-            synth["noise_sd"] = args.synth_noise
-        base["synth"] = synth
+    overrides = {key: value for key, value in (("n", args.synth_n), ("noise_sd", args.synth_noise))
+                 if value is not None}
+    synth = {} if base.get("synth") is None else base["synth"]
+    if overrides and isinstance(synth, dict):  # from_dict names any other synth as an invalid config
+        base["synth"] = {**synth, **overrides}
     base.update((key, value) for key, value in vars(args).items()
                 if key in ExperimentConfig.__dataclass_fields__ and value is not None)
     if "outdir" not in base or base["outdir"] is None:
         base["outdir"] = os.environ.get(OUTDIR_ENV, "results")
     if "workers" not in base or base["workers"] is None:
         base["workers"] = max(1, os.cpu_count() or 1)
-    base.setdefault("format", harness.CONFIG_FORMAT)
     try:
         return ExperimentConfig.from_dict(base)
     except (TypeError, ValueError) as exc:
@@ -262,7 +258,7 @@ def _cmd_diversity(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = gradcheck.run_all(quick=args.quick)
+    results = gradcheck.run_all()
     failed = False
     for r in results:
         status = "ok" if r.passed else "FAIL"

@@ -39,8 +39,9 @@ Bagging's learners do not share a batch. A resample of n rows holds about
 distinct drawn rows, padded to the widest learner's w with weight-0 copies
 of one of its own drawn rows; the draw counts weight the rows. Forward,
 backward and dW then run on w rows, not n. :func:`drawn_batch` gathers
-those (P*M, w, D) inputs; :func:`harness.train_stack` does it once per
-stack, not once per step.
+those (P*M, w, D) inputs. :func:`epoch_steps` is the one rule for what
+each step of an epoch reads, bagging's gather included, so a training
+loop gathers once per stack, not once per step.
 """
 
 from __future__ import annotations
@@ -172,6 +173,23 @@ def drawn_batch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray) -> tuple[np.nd
         raise ValueError("bootstrap indices exceed batch size; bagging trains full-batch")
     rows = np.tile(ens.rows, (len(ens.params), 1))
     return x[rows], t[rows]
+
+
+def epoch_steps(
+    ens: EnsembleModel, x: np.ndarray, t: np.ndarray, batch_size: int | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (inputs, targets) of each step of one epoch over the (n, D) inputs and (n, O) targets.
+
+    Bagging trains full-batch, because its bootstrap rows index the whole
+    set: one step of the :func:`drawn_batch` gather, whatever
+    ``batch_size``. The other methods step on ``batch_size``-row slices,
+    the last one short, or on one full batch when ``batch_size`` is None.
+    A stack that loses ensembles needs its steps again.
+    """
+    if ens.rows is not None:
+        return [drawn_batch(ens, x, t)]
+    size = len(x) if batch_size is None else batch_size
+    return [(x[start : start + size], t[start : start + size]) for start in range(0, len(x), size)]
 
 
 # ---------------------------------------------------------------------------

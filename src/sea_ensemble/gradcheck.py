@@ -136,10 +136,5 @@ def check_sea_ncl_proportionality(n_states: int = 1000, seed: int = 2, tol: floa
     return CheckResult("sea_ncl_proportionality", worst, tol)
 
 
-def run_all(quick: bool = False) -> list[CheckResult]:
-    n_nets = 10 if quick else 50
-    n_states = 200 if quick else 1000
-    results = [check_mlp_backward(n_nets=n_nets)]
-    results.extend(check_loss_gradients(n_states=n_states))
-    results.append(check_sea_ncl_proportionality(n_states=n_states))
-    return results
+def run_all() -> list[CheckResult]:
+    return [check_mlp_backward(), *check_loss_gradients(), check_sea_ncl_proportionality()]

@@ -2,12 +2,16 @@
 
 A sweep is the Cartesian product (parameter grid) x (ensemble sizes) x
 (folds) for one method on one dataset. Each (ensemble size, fold) column of
-grid points is one job, which standardizes the fold and builds the initial
-learners once for all its grid points, then trains the points as one stack
-of P*M learners, in chunks of at most ``STACK_BYTES`` per layer activation.
-Each grid point gives one :class:`SweepRow`, one line of ``sweep.csv``;
-rows are sorted before persistence so output files are byte-identical for
-a given config regardless of worker count.
+grid points is one job, a call of :func:`run_column` with the same
+arguments whether a pool worker or this process runs it. A job
+standardizes the fold and builds the initial learners once for all its
+grid points, then trains the points as one stack of P*M learners, in
+chunks of at most ``STACK_BYTES`` per layer activation over the rows a step
+reads. What a step reads, bagging's drawn rows included, is
+:func:`~sea_ensemble.ensemble.epoch_steps`'s to say; this module names no
+method's data rule. Each grid point gives one :class:`SweepRow`, one line
+of ``sweep.csv``; rows are sorted before persistence so output files are
+byte-identical for a given config regardless of worker count.
 
 Seeds: the master seed is split by purpose (see :mod:`sea_ensemble.seeds`).
 The data split and the per-fold learner initializations never depend on the
@@ -24,6 +28,7 @@ import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +51,7 @@ from .ensemble import (
     EnsembleModel,
     MethodConfig,
     build_ensemble,
-    drawn_batch,
+    epoch_steps,
     train_epoch,
 )
 from .mlp import DivergenceError, forward_batch
@@ -203,6 +208,8 @@ class ExperimentConfig:
         if d.get("dataset_path"):
             d["synth"] = None
         elif d.get("synth") is not None:
+            if not isinstance(d["synth"], dict):
+                raise TypeError(f"synth must be an object, got {d['synth']!r}")
             d["synth"] = SynthSpec(**d["synth"])
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
@@ -302,9 +309,10 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     (:func:`fold_data`), the initial learners and bagging's bootstrap.
     The grid points then train as P copies of the initial learners on one
     (P*M, fan_out, fan_in) stack, in :func:`train_stack`, in chunks of at
-    most ``STACK_BYTES`` per activation. The chunks share one kernel
-    workspace, so a column allocates its step buffers once per shape, not
-    once per chunk.
+    most ``STACK_BYTES`` per activation over the rows a step reads: w for
+    bagging, whose learners read their drawn rows, not n. The chunks share
+    one kernel workspace, so a column allocates its step buffers once per
+    shape, not once per chunk.
     """
     train, eval_ds = fold_data(cfg, ds, split, fold)
     # the method's default parameter; each grid point sets its own
@@ -317,7 +325,8 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
         seed=fold_seed(cfg, fold),
         n_train=train.n_samples,
     )
-    n_rows = epoch_batches(cfg, train.n_samples)[0].stop
+    # the rows a step reads: a batch's, or the w drawn rows of bagging's widest learner
+    n_rows = epoch_steps(untrained, train.features, train.targets, cfg.batch_size)[0][0].shape[-2]
     chunk = max(1, STACK_BYTES // (8 * m * max(cfg.hidden + (train.n_outputs,)) * n_rows))
     rows = []
     work = {}  # the chunks train one after another, so each takes over the last one's buffers
@@ -340,19 +349,15 @@ def train_stack(
     that finishes with a non-finite or rounding-noise metric
     (:func:`ensemble_metric`) is flagged with all its epochs. Each row is
     bitwise what its ensemble trained alone gives. Only the trained
-    ensembles are scored, one forward pass each. Bagging's per-learner rows
-    are gathered once per stack, not per step.
+    ensembles are scored, one forward pass each. What each step reads is
+    :func:`~sea_ensemble.ensemble.epoch_steps`'s to say, once per stack and
+    again whenever the stack shrinks.
     """
     params = [float(p) for p in ens.params]
     live = list(range(len(params)))  # the ensembles still on the stack, in stack order
     epochs = {}  # the completed epochs of the ensembles that left the stack
     rows = [None] * len(params)
-    batches = [(train.features[b], train.targets[b]) for b in epoch_batches(cfg, train.n_samples)]
-
-    def inputs(ens):
-        return batches if ens.rows is None else [drawn_batch(ens, x, t) for x, t in batches]
-
-    steps = inputs(ens)
+    steps = epoch_steps(ens, train.features, train.targets, cfg.batch_size)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             for b in range(len(steps)):
@@ -366,7 +371,7 @@ def train_stack(
                         live = [point for point, o in zip(live, out) if not o]
                         if live:
                             ens = ens.take(np.flatnonzero(~out))
-                            steps = inputs(ens)
+                            steps = epoch_steps(ens, train.features, train.targets, cfg.batch_size)
         for j, point in enumerate(live):
             preds, _ = forward_batch(ens.take([j]).net, eval_ds.features)
             value = ensemble_metric(preds, eval_ds.targets, eval_ds.task)
@@ -376,14 +381,6 @@ def train_stack(
     nan = float("nan")
     return [row or SweepRow(ens.config.method, p, ens.m, fold, nan, nan, epochs.get(j, cfg.epochs), True)
             for j, (row, p) in enumerate(zip(rows, params))]
-
-
-def epoch_batches(cfg: ExperimentConfig, n: int) -> list[slice]:
-    """The row slices of one epoch over n rows: steps of ``cfg.batch_size`` rows, or one full batch."""
-    # Bagging always trains full-batch: bootstrap rows index the whole set.
-    if cfg.batch_size is None or cfg.method == "bagging":
-        return [slice(0, n)]
-    return [slice(start, min(start + cfg.batch_size, n)) for start in range(0, n, cfg.batch_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +415,6 @@ class SweepResult:
     wall_time: float = field(default=0.0, compare=False)
 
 
-# A pool worker's (config, dataset, split), set once per worker by its initializer.
-_worker_inputs: tuple = ()
-
-
-def _init_sweep_worker(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _sweep_job(m: int, fold: int) -> list[SweepRow]:
-    cfg, ds, split = _worker_inputs
-    return run_column(cfg, m, ds, split, fold)
-
-
 def warn_outside_sea_interval(k: float, m: int) -> None:
     """Log a warning when sea's k lies outside the theoretical interval for M learners."""
     lo, hi = theory.sea_k_bounds(m)
@@ -443,26 +426,26 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """The full (grid x m_list x folds) product for the configured method.
 
     One job per (M, fold) column, largest M first so the longest jobs start
-    first. The dataset is loaded and split once; with more than one worker
-    (``cfg.workers``, at most one per job) each pool worker receives them
-    when it starts, not with every job. A sea
+    first. The dataset is loaded and split once, here, and every job is
+    :func:`run_column` on the same arguments: in a process pool with more
+    than one worker (``cfg.workers``, at most one per job), which sends
+    each job its config, dataset and split, or in this process. A sea
     k outside the theoretical interval is logged here, once per (M, k).
     """
     started = time.perf_counter()
     if cfg.method == "sea":
         for m, k in sorted({(m, k) for m in cfg.m_list for k in cfg.grid}):
             warn_outside_sea_interval(k, m)
-    jobs = [(m, fold) for m in sorted(cfg.m_list, reverse=True) for fold in range(cfg.folds)]
+    ms, folds = zip(*[(m, fold) for m in sorted(cfg.m_list, reverse=True) for fold in range(cfg.folds)])
     ds = load_dataset(cfg)
     split = fold_split_for(cfg, ds.n_samples)
-    workers = min(cfg.workers, len(jobs))  # a pool starts all its workers at the first job
+    args = (repeat(cfg), ms, repeat(ds), repeat(split), folds)
+    workers = min(cfg.workers, len(ms))  # a pool starts all its workers at the first job
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_sweep_worker, initargs=(cfg, ds, split)
-        ) as pool:
-            columns = list(pool.map(_sweep_job, *zip(*jobs)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            columns = list(pool.map(run_column, *args))
     else:
-        columns = [run_column(cfg, m, ds, split, fold) for m, fold in jobs]
+        columns = list(map(run_column, *args))
     rows = sorted((r for column in columns for r in column), key=SweepRow.sort_key)
     n_div = sum(r.diverged for r in rows)
     if n_div:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sea_ensemble import theory
+from sea_ensemble import harness, theory
 from sea_ensemble.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -50,6 +50,16 @@ class TestUsage:
         cfg.write_text(document)
         assert main(["sweep", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: config {cfg} must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("synth", [5, [1], "ab"])
+    def test_synth_not_an_object_with_synth_flag(self, tmp_path, capsys, synth):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": synth}))
+        args = ["sweep", "--config", str(cfg), "--synth-n", "40", "--outdir", str(tmp_path / "out")]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and "synth" in err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_config_key_named(self, tmp_path, capsys):
@@ -261,6 +271,26 @@ class TestSweep:
         assert csv == (tmp_path / "w2" / "sweep.csv").read_bytes()
         assert sum(line.endswith(b",1") for line in csv.splitlines()) == 8
 
+    def test_worker_count_keeps_bytes_of_chunked_bagging(self, tmp_path, monkeypatch):
+        # a 5-point grid at M=5 trains in chunks; a real pool runs the two columns at --workers 2
+        args = ["sweep", "--method", "bagging", "--grid", "0:4:1", "--m", "5", "--hidden", "10", "--synth-n", "400",
+                "--folds", "2", "--epochs", "3", "--seed", "3"]
+        stacks = []  # the grid points of each chunk
+        real = harness.train_stack
+
+        def counted(cfg, ens, *rest):
+            stacks.append(len(ens.params))
+            return real(cfg, ens, *rest)
+
+        monkeypatch.setattr(harness, "train_stack", counted)
+        assert main(args + ["--workers", "1", "--outdir", str(tmp_path / "w1")]) == EXIT_OK
+        assert len(stacks) > 2 and sum(stacks) == 2 * 5  # more than one chunk per column
+        monkeypatch.undo()
+        assert main(args + ["--workers", "2", "--outdir", str(tmp_path / "w2")]) == EXIT_OK
+        csv = (tmp_path / "w1" / "sweep.csv").read_bytes()
+        assert csv == (tmp_path / "w2" / "sweep.csv").read_bytes()
+        assert len(csv.splitlines()) == 1 + 2 * 5
+
 
 class TestTrain:
     def test_metric_on_train_rejected_before_training(self, tmp_path, monkeypatch):
@@ -395,7 +425,7 @@ class TestDiversity:
 
 class TestGradcheck:
     def test_quick_passes(self):
-        assert main(["gradcheck", "--quick"]) == EXIT_OK
+        assert main(["gradcheck"]) == EXIT_OK
 
 
 class TestEnvironment:

@@ -17,6 +17,7 @@ from sea_ensemble.ensemble import (
     drawn_rows,
     ensemble_from_json,
     ensemble_to_json,
+    epoch_steps,
     learner_losses,
     output_gradients,
     train_epoch,
@@ -763,6 +764,41 @@ class TestBagging:
         sea = build_ensemble(2, [6, 4], 1, 4, MethodConfig("sea", 0.5), seed=8)
         with pytest.raises(ValueError, match="only bagging"):
             train_epoch(sea, x_rows, t_rows, 0.1)
+
+
+class TestEpochSteps:
+    @pytest.mark.parametrize("batch_size", [None, 1, 7, 30, 100])
+    def test_bagging_steps_once_on_its_drawn_rows(self, batch_size):
+        ds, _ = standardize(synth_regression(30, 0.1, 5))
+        base = build_ensemble(2, [6, 4], 1, 4, MethodConfig("bagging"), seed=8, n_train=30)
+        ((x, t),) = epoch_steps(base.take([0] * 3, [0.0, 0.5, 1.0]), ds.features, ds.targets, batch_size)
+        rows = np.tile(base.rows, (3, 1))  # every grid point's learner i reads learner i's drawn rows
+        np.testing.assert_array_equal(x, ds.features[rows])
+        np.testing.assert_array_equal(t, ds.targets[rows])
+
+    @pytest.mark.parametrize("method", ["independent", "sea", "ncl", "nclstar"])
+    def test_other_methods_step_on_slices(self, method):
+        ds, _ = standardize(synth_regression(30, 0.1, 5))
+        ens = build_ensemble(2, [6, 4], 1, 4, MethodConfig(method, 0.5), seed=8)
+        steps = epoch_steps(ens, ds.features, ds.targets, 7)
+        assert [len(x) for x, _ in steps] == [7, 7, 7, 7, 2]
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in steps]), ds.features)
+        np.testing.assert_array_equal(np.concatenate([t for _, t in steps]), ds.targets)
+        ((x, t),) = epoch_steps(ens, ds.features, ds.targets)  # no batch size: one full batch
+        np.testing.assert_array_equal(x, ds.features)
+        np.testing.assert_array_equal(t, ds.targets)
+
+    def test_gather_follows_a_smaller_stack(self):
+        # after take, as when a diverged grid point leaves the stack, the gather has that stack's learners
+        ds, _ = standardize(synth_regression(30, 0.1, 5))
+        base = build_ensemble(2, [6, 4], 1, 4, MethodConfig("bagging"), seed=8, n_train=30)
+        smaller = base.take([0] * 3, [0.0, 0.5, 1.0]).take([0, 2])
+        ((x, t),) = epoch_steps(smaller, ds.features, ds.targets, 7)
+        rows = np.tile(base.rows, (2, 1))
+        assert x.shape == (8, base.rows.shape[1], 2)
+        np.testing.assert_array_equal(x, ds.features[rows])
+        np.testing.assert_array_equal(t, ds.targets[rows])
+        train_epoch(smaller, x, t, 0.1)  # the step reads them as the smaller stack's drawn rows
 
 
 class TestGradcheck:

@@ -43,15 +43,17 @@ THETA_LEARNER0_FOLD0 = [
 
 @pytest.fixture
 def inline_pools(monkeypatch) -> list:
-    """Replace harness's ProcessPoolExecutor with a stand-in that runs the jobs here; returns the pools made."""
+    """Replace harness's ProcessPoolExecutor with a stand-in that runs the jobs here; returns the pools made.
+
+    A pool records each job's (M, fold); the config, dataset and split are the same for every job.
+    """
     pools = []
 
     class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             self.max_workers = max_workers
             self.jobs = []
             pools.append(self)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -60,11 +62,11 @@ def inline_pools(monkeypatch) -> list:
             return False
 
         def map(self, fn, *job_args):
-            self.jobs.extend(zip(*job_args))
-            return map(fn, *job_args)
+            jobs = list(zip(*job_args))
+            self.jobs.extend((m, fold) for _, m, _, _, fold in jobs)
+            return itertools.starmap(fn, jobs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(harness, "_worker_inputs", ())  # restored after the test
     return pools
 
 
