@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, gradcheck, harness
+from . import __version__, gradcheck, harness, theory
 from .data import standardize
 from .ensemble import METHODS, MethodConfig, build_ensemble, ensemble_to_json
 from .harness import ExperimentConfig
@@ -246,6 +246,11 @@ def _cmd_diversity(args) -> int:
     points = len(set(cfg.grid))
     if points < 3:
         raise UsageError(f"diversity needs a grid of at least 3 points, got {points}")
+    for m in cfg.m_list:
+        try:
+            theory.predicted_std_curve(cfg.method, cfg.grid, m, 1.0)
+        except ZeroDivisionError as exc:
+            raise UsageError(f"no std prediction at M={m}: {exc}") from None
     result = harness.run_sweep(cfg)
     for m in cfg.m_list:
         profile = harness.diversity_profile(result, m)

@@ -106,7 +106,7 @@ class EnsembleModel:
 
     @property
     def learners(self) -> list[MLP]:
-        """Learner i as a single-network MLP whose arrays are views into the stack, for inspection."""
+        """Learner i as a single-network MLP whose arrays are views into the stack: a step on one steps the stack."""
         return [MLP(row, self.net.shapes) for row in self.net.theta]
 
     @property
@@ -277,11 +277,11 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
     weighted by its draw count c_r, so its gradient is
     sum_r c_r (f_r - t_r) / n. Bagging takes the batch and gathers the drawn
     rows itself, or the (P*M, w, D) inputs and (P*M, w, O) targets of
-    :func:`drawn_batch`, gathered once for many steps. If any learner's
-    update is non-finite, the stack is left unchanged and the
-    :class:`DivergenceError`'s ``mask``, one flag per learner of the stack,
-    flags every such learner. The forward and backward arrays
-    go to ``ens.work``, where the next step of the same shape reuses them.
+    :func:`drawn_batch`, gathered once for many steps. The step updates
+    ``ens.net.theta`` in place; a learner whose update is non-finite keeps
+    its non-finite values there, for the caller to find. The forward and
+    backward arrays go to ``ens.work``, where the next step of the same
+    shape reuses them.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -302,7 +302,7 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
             raise ValueError(f"bagging's drawn rows are ({len(ens.net.theta)}, {ens.rows.shape[1]}, D), got {x.shape}")
         n = ens.bootstrap.shape[1]
 
-    # Overflow in a diverging run surfaces as DivergenceError at the update.
+    # Overflow in a diverging run surfaces as non-finite parameters after the update.
     with np.errstate(over="ignore", invalid="ignore"):
         preds, trace = forward_batch(ens.net, x, ens.work)
         deltas = output_gradients(preds, t, ens.config, ens.params)

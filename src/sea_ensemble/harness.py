@@ -28,7 +28,7 @@ import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ from .ensemble import (
     epoch_steps,
     train_epoch,
 )
-from .mlp import DivergenceError, forward_batch
+from .mlp import MLP, forward_batch
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -80,7 +80,8 @@ PLATEAU_SPREAD = 0.02    # max relative spread inside the trailing plateau run
 BOUNDARY_MARGIN = 0.05   # required improvement over the plateau
 MIN_BOUNDARY_POINTS = 5  # distinct grid points the boundary estimator needs
 
-# Bytes of one layer's activations over a chunk of a column's grid points.
+# Bytes of one layer's activations over a chunk of a column's grid points,
+# and over a group of grid points scored in one forward pass.
 # The training step keeps its large arrays in a workspace that a column's
 # chunks hand on (see mlp), so this bounds memory, not allocator traffic.
 # 192 KB stacks 4 grid points at M=3, 2 at M=5 and 1 at M=10 on 200
@@ -327,7 +328,7 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     )
     # the rows a step reads: a batch's, or the w drawn rows of bagging's widest learner
     n_rows = epoch_steps(untrained, train.features, train.targets, cfg.batch_size)[0][0].shape[-2]
-    chunk = max(1, STACK_BYTES // (8 * m * max(cfg.hidden + (train.n_outputs,)) * n_rows))
+    chunk = _points_in_budget(cfg, m, train.n_outputs, n_rows)
     rows = []
     work = {}  # the chunks train one after another, so each takes over the last one's buffers
     for start in range(0, len(cfg.grid), chunk):
@@ -338,20 +339,27 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     return rows
 
 
+def _points_in_budget(cfg: ExperimentConfig, m: int, n_outputs: int, n_rows: int) -> int:
+    """The grid points of M learners whose widest activation over ``n_rows`` rows fits ``STACK_BYTES``; at least 1."""
+    return max(1, STACK_BYTES // (8 * m * max(cfg.hidden + (n_outputs,)) * n_rows))
+
+
 def train_stack(
     cfg: ExperimentConfig, ens: EnsembleModel, train: Dataset, eval_ds: Dataset, fold: int
 ) -> list[SweepRow]:
     """Train a stack of P ensembles for ``cfg.epochs`` and score each on ``eval_ds``: one row per ensemble.
 
-    An ensemble whose update turns non-finite leaves the stack, flagged (metric
-    NaN) with its completed epochs, and the others retake the step without it,
-    so sweeps past the theoretical boundary run to completion. An ensemble
-    that finishes with a non-finite or rounding-noise metric
-    (:func:`ensemble_metric`) is flagged with all its epochs. Each row is
-    bitwise what its ensemble trained alone gives. Only the trained
-    ensembles are scored, one forward pass each. What each step reads is
-    :func:`~sea_ensemble.ensemble.epoch_steps`'s to say, once per stack and
-    again whenever the stack shrinks.
+    After each step the stack's parameters are read: an ensemble with a
+    non-finite one leaves the stack, flagged (metric NaN) with its completed
+    epochs, and the others keep the step they took, so sweeps past the
+    theoretical boundary run to completion; training stops when no ensemble
+    is left. An ensemble that finishes with a non-finite or rounding-noise
+    metric (:func:`ensemble_metric`) is flagged with all its epochs. Each
+    row is bitwise what its ensemble trained alone gives. Only the trained
+    ensembles are scored, a forward pass over as many of them as fit
+    ``STACK_BYTES`` on the scoring rows at a time. What each step
+    reads is :func:`~sea_ensemble.ensemble.epoch_steps`'s to say, once per
+    stack and again whenever the stack shrinks.
     """
     params = [float(p) for p in ens.params]
     live = list(range(len(params)))  # the ensembles still on the stack, in stack order
@@ -359,27 +367,29 @@ def train_stack(
     rows = [None] * len(params)
     steps = epoch_steps(ens, train.features, train.targets, cfg.batch_size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            for b in range(len(steps)):
-                while live:
-                    try:
-                        train_epoch(ens, *steps[b], cfg.alpha)
-                        break
-                    except DivergenceError as exc:
-                        out = exc.mask.reshape(len(live), ens.m).any(axis=1)
-                        epochs.update({point: epoch for point, o in zip(live, out) if o})
-                        live = [point for point, o in zip(live, out) if not o]
-                        if live:
-                            ens = ens.take(np.flatnonzero(~out))
-                            steps = epoch_steps(ens, train.features, train.targets, cfg.batch_size)
-        for j, point in enumerate(live):
-            preds, _ = forward_batch(ens.take([j]).net, eval_ds.features)
-            value = ensemble_metric(preds, eval_ds.targets, eval_ds.task)
-            if np.isfinite(value):  # parameters can stay finite while the predictions blow up
-                rows[point] = SweepRow(ens.config.method, params[point], ens.m, fold, value,
-                                       theory.empirical_std(preds), cfg.epochs, False)
+        for epoch, b in product(range(cfg.epochs), range(len(steps))):
+            train_epoch(ens, *steps[b], cfg.alpha)
+            if np.isfinite(ens.net.theta).all():
+                continue
+            out = ~np.isfinite(ens.net.theta).reshape(len(live), -1).all(axis=1)
+            epochs.update({point: epoch for point, o in zip(live, out) if o})
+            live = [point for point, o in zip(live, out) if not o]
+            if not live:
+                break
+            ens = ens.take(np.flatnonzero(~out))
+            steps = epoch_steps(ens, train.features, train.targets, cfg.batch_size)
+        m = ens.m
+        group = _points_in_budget(cfg, m, eval_ds.n_outputs, eval_ds.n_samples)
+        for start in range(0, len(live), group):  # a view of the stack's rows: no copy
+            preds, _ = forward_batch(MLP(ens.net.theta[start * m : (start + group) * m], ens.net.shapes),
+                                     eval_ds.features)
+            for point, stack in zip(live[start : start + group], preds.reshape(-1, m, *preds.shape[1:])):
+                value = ensemble_metric(stack, eval_ds.targets, eval_ds.task)
+                if np.isfinite(value):  # parameters can stay finite while the predictions blow up
+                    rows[point] = SweepRow(ens.config.method, params[point], m, fold, value,
+                                           theory.empirical_std(stack), cfg.epochs, False)
     nan = float("nan")
-    return [row or SweepRow(ens.config.method, p, ens.m, fold, nan, nan, epochs.get(j, cfg.epochs), True)
+    return [row or SweepRow(ens.config.method, p, m, fold, nan, nan, epochs.get(j, cfg.epochs), True)
             for j, (row, p) in enumerate(zip(rows, params))]
 
 

@@ -22,8 +22,10 @@ array, with no copy and no check, so the caller decides what is copied:
 :func:`init_mlp` fills a new ``theta``, an ensemble wraps its stack, a row
 copy or a row view. The checkpoint reader in :mod:`sea_ensemble.ensemble` is
 where parameters enter from outside the program, and is where they are
-checked. Each step makes a fresh ``theta`` and rebinds ``blocks`` to it, so
-arrays taken from an MLP before the step keep their values.
+checked. :func:`sgd_step` updates ``theta`` in place, so an MLP's ``theta``
+and ``blocks`` are bound once, and every view of them, a learner's row
+included, sees the step; a non-finite update stays in ``theta`` for the
+caller to read.
 
 Activations: every array the kernels make is unit-major, (width, M, N) for a
 stack and (width, N) for one network, so the elementwise passes (the
@@ -59,25 +61,13 @@ from __future__ import annotations
 import numpy as np
 
 
-class DivergenceError(RuntimeError):
-    """An update produced a non-finite parameter; ``mask`` flags each learner that holds one.
-
-    The mask is (M,) for a stack and 0-d (True) for one network.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        super().__init__(f"non-finite parameter after update in learners {np.flatnonzero(mask).tolist()}")
-        self.mask = mask
-
-
 class MLP:
     """Layered affine maps over one flat ``theta`` (see the module docstring).
 
     ``MLP(theta, shapes)`` wraps ``theta`` itself, (n_params,) for one
     network or (M, n_params) for a stack, with layers of (fan_out, fan_in)
     ``shapes``: no copy, no check. Its per-layer ``[W | b]`` blocks are
-    ``blocks``; :func:`sgd_step` replaces ``theta`` and ``blocks`` with new
-    arrays and never writes into the old ones.
+    ``blocks``, views of ``theta`` that :func:`sgd_step` updates in place.
     """
 
     def __init__(self, theta: np.ndarray, shapes: tuple[tuple[int, int], ...]):
@@ -252,12 +242,9 @@ def backward_batch(m: MLP, trace: list[np.ndarray], delta_out: np.ndarray, work:
 def sgd_step(m: MLP, grad: np.ndarray, alpha: float) -> None:
     """One step theta <- theta - alpha * grad on ``m``, from a gradient laid out as ``m.theta``.
 
-    The update is one pass over every parameter into a fresh ``theta``, and
-    ``m`` is rebound to it and its blocks; the old arrays are not written
-    into, so views and copies taken before the step keep their values.
-    A non-finite result raises :class:`DivergenceError` and leaves ``m``
-    unchanged; its ``mask``, (M,) for a stack and 0-d for one network, flags
-    every learner with a non-finite parameter.
+    The update is one pass over every parameter, written into ``m.theta``
+    itself, so every view of it sees the step. A non-finite result is
+    written like any other: the caller reads divergence from ``m.theta``.
     """
     if not 0 < alpha < np.inf:
         raise ValueError(f"learning rate must be positive and finite, got {alpha}")
@@ -265,9 +252,4 @@ def sgd_step(m: MLP, grad: np.ndarray, alpha: float) -> None:
         raise ValueError(f"gradient shape mismatch: {grad.shape} against theta {m.theta.shape}")
     # Overflow here is the designed divergence signal, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = np.multiply(grad, alpha)
-        np.subtract(m.theta, theta, out=theta)
-    finite = np.isfinite(theta)
-    if not finite.all():
-        raise DivergenceError(~finite.all(axis=-1))
-    m.theta, m.blocks = theta, _blocks(theta, m.shapes)
+        np.subtract(m.theta, np.multiply(grad, alpha), out=m.theta)

@@ -335,7 +335,7 @@ class TestTrain:
         # predictions reach ~1e136 and the ensemble mean is rounding noise
         ("--method nclstar --param 2 --m 5 --alpha 0.3 --batch-size 7 --synth-n 200 --epochs 10",
          "diverged after 10 of 10 epochs"),
-        # sea far past its boundary: an update overflows, a DivergenceError in the training loop
+        # sea far past its boundary: an update overflows, and the training loop finds non-finite parameters
         ("--method sea --param 8 --m 3 --alpha 1 --epochs 300 --synth-n 40 --hidden 4",
          "diverged after 108 of 300 epochs"),
     ], ids=["rounding-noise", "overflow"])
@@ -420,6 +420,18 @@ class TestDiversity:
         monkeypatch.setattr("sea_ensemble.harness.train_stack", no_training)
         assert main(["diversity", "--outdir", str(tmp_path)] + BASE + flags) == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_singular_grid_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        # ncl's predicted std is singular at lambda = M/(M-1), which is 2 at M=2: no profile can be fitted
+        def no_sweep(*args):
+            raise AssertionError("swept before rejecting the grid")
+
+        monkeypatch.setattr("sea_ensemble.harness.run_sweep", no_sweep)
+        args = ["diversity", "--method", "ncl", "--grid", "0:2:0.5", "--m", "2", "--synth-n", "40", "--epochs", "5",
+                "--folds", "2", "--hidden", "4", "--workers", "1", "--outdir", str(tmp_path)]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: no std prediction at M=2: mapping singular near lambda = 2\n"
         assert not any(tmp_path.iterdir())
 
 

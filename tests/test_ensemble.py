@@ -22,7 +22,7 @@ from sea_ensemble.ensemble import (
     output_gradients,
     train_epoch,
 )
-from sea_ensemble.mlp import MLP, DivergenceError, backward_batch, forward_batch, sgd_step
+from sea_ensemble.mlp import MLP, backward_batch, forward_batch, sgd_step
 
 
 DELETED = object()
@@ -374,9 +374,10 @@ def hand_step(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) ->
     """One train_epoch done learner by learner with the single-network kernels: the stepped learners.
 
     A bagging learner runs alone on its own drawn rows, weighted by their
-    draw counts; the stack itself is left as it was.
+    draw counts. The learners are copies, since a step updates its arrays in
+    place, so the stack itself is left as it was.
     """
-    learners = ens.learners
+    learners = [MLP(row.copy(), ens.net.shapes) for row in ens.net.theta]
     if ens.rows is None:
         outs = [forward_batch(net, x) for net in learners]
         deltas = output_gradients(np.stack([y for y, _ in outs]), t, ens.config, ens.params)
@@ -413,26 +414,24 @@ class TestStackedStep:
         assert len(ens.learners) == m
         assert_learners_equal(ens, expected)
 
-    def test_divergence_names_learner_and_leaves_stack_unchanged(self):
+    def test_divergence_stays_in_the_diverging_learner(self):
+        # the step is applied to every learner, and only learner 2 holds non-finite values after it
         ds, _ = standardize(synth_regression(40, 0.1, 13))
         ens = build_ensemble(2, [6, 4], 1, 5, MethodConfig("independent"), seed=17)
         ens.net.weights[-1][2] = 1e300
-        before = [a.copy() for a in ens.net.weights + ens.net.biases]
-        with pytest.raises(DivergenceError) as exc:
-            train_epoch(ens, ds.features, ds.targets, 0.1)
-        assert exc.value.mask.tolist() == [i == 2 for i in range(5)]
-        after = ens.net.weights + ens.net.biases
-        assert len(after) == len(before)
-        for a, b in zip(after, before):
-            np.testing.assert_array_equal(a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = hand_step(ens, ds.features, ds.targets, 0.1)
+        train_epoch(ens, ds.features, ds.targets, 0.1)
+        assert np.isfinite(ens.net.theta).all(axis=1).tolist() == [i != 2 for i in range(5)]
+        assert_learners_equal(ens, expected)
 
-    def test_step_builds_no_mlp_and_replaces_arrays(self, monkeypatch):
+    def test_step_builds_no_mlp_and_updates_in_place(self, monkeypatch):
         ds, _ = standardize(synth_regression(40, 0.1, 13))
         ens = build_ensemble(2, [6, 4], 1, 5, MethodConfig("sea", 0.5), seed=17)
         views = ens.learners
-        view_values = [[a.copy() for a in v.weights + v.biases] for v in views]
-        arrays = ens.net.weights + ens.net.biases
-        values = [a.copy() for a in arrays]
+        theta, blocks = ens.net.theta, ens.net.blocks
+        before = theta.copy()
+        expected = hand_step(ens, ds.features, ds.targets, 0.1)
         built = []
         real = MLP.__init__
 
@@ -443,12 +442,10 @@ class TestStackedStep:
         monkeypatch.setattr(MLP, "__init__", counting)
         train_epoch(ens, ds.features, ds.targets, 0.1)
         assert len(built) == 0
-        for v, want in zip(views, view_values):
-            for a, b in zip(v.weights + v.biases, want):
-                np.testing.assert_array_equal(a, b)
-        for a, b in zip(arrays, values):
-            np.testing.assert_array_equal(a, b)
-        assert not all(np.array_equal(a, b) for a, b in zip(ens.net.weights + ens.net.biases, values))
+        assert ens.net.theta is theta and all(a is b for a, b in zip(ens.net.blocks, blocks))
+        assert not np.array_equal(theta, before)
+        for v, want in zip(views, expected):  # views taken before the step see it
+            np.testing.assert_array_equal(v.theta, want.theta)
 
 
 class TestGridStack:
@@ -489,12 +486,17 @@ class TestGridStack:
                 np.testing.assert_array_equal(a, b)
 
     def test_divergence_flags_the_diverging_ensemble(self):
+        # k = 60 blows up; its non-finite values stay in its own slice, and the others train on as if alone
         ds, _ = standardize(synth_regression(40, 0.1, 13))
-        stack = build_ensemble(2, [6, 4], 1, 3, MethodConfig("sea"), seed=17).take([0, 0, 0], [0.5, 60.0, 0.5])
-        with pytest.raises(DivergenceError) as exc:
-            for _ in range(50):
-                train_epoch(stack, ds.features, ds.targets, 5.0)
-        assert exc.value.mask.any() and not exc.value.mask[:3].any() and not exc.value.mask[6:].any()
+        base = build_ensemble(2, [6, 4], 1, 3, MethodConfig("sea"), seed=17)
+        stack, alone = base.take([0, 0, 0], [0.5, 60.0, 0.5]), base.take([0], [0.5])
+        for _ in range(53):  # the 50th step overflows
+            train_epoch(stack, ds.features, ds.targets, 5.0)
+            train_epoch(alone, ds.features, ds.targets, 5.0)
+        finite = np.isfinite(stack.net.theta).all(axis=1)
+        assert finite[:3].all() and not finite[3:6].all() and finite[6:].all()
+        for j in (0, 2):
+            np.testing.assert_array_equal(stack.take([j]).net.theta, alone.net.theta)
 
 
 def test_learners_are_views_and_take_copies():
@@ -681,7 +683,8 @@ class TestBagging:
         ds, _ = standardize(synth_regression(50, 0.1, 12))
         ens = build_ensemble(2, [6, 4], 1, 3, MethodConfig("bagging"), seed=8, n_train=ds.n_samples)
         expected = []
-        for learner, idx in zip(ens.learners, ens.bootstrap):
+        for row, idx in zip(ens.net.theta, ens.bootstrap):
+            learner = MLP(row.copy(), ens.net.shapes)  # a copy: a step updates its arrays in place
             y, trace = forward_batch(learner, ds.features[idx])
             grads = backward_batch(learner, trace, (y - ds.targets[idx]) / len(idx))
             sgd_step(learner, grads, 0.1)

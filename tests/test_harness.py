@@ -443,21 +443,32 @@ class TestColumn:
         chunks = [list(grid[i : i + 3]) for i in range(0, points, 3)]
         assert stacks == chunks + [[p] for p in grid]  # the column's chunks, then the cells alone
 
+    def test_scoring_groups(self, monkeypatch):
+        # a budget of two grid points over the 40 scoring rows: the one 3-point chunk that
+        # 7-row batches allow is scored as 2 points, then 1
+        monkeypatch.setattr(harness, "STACK_BYTES", 2 * 3 * 5 * 40 * 8)
+        forwards = []
+        real = harness.forward_batch
+
+        def recording(net, x, *args):
+            forwards.append(len(net.theta))
+            return real(net, x, *args)
+
+        monkeypatch.setattr(harness, "forward_batch", recording)
+        cfg = small_cfg(method="ncl", grid=(0.0, 0.25, 0.5), epochs=6, alpha=0.1, batch_size=7)
+        self.assert_column_matches_cells(cfg, monkeypatch)
+        assert forwards == [6, 3, 3, 3, 3]  # the column's two groups of M=3 learners, then the cells alone
+
     @pytest.mark.parametrize("in_front", [False, True])
     def test_point_diverging_mid_epoch(self, monkeypatch, in_front):
-        # k = 8 diverges in step 2 of epoch 32 and the other points train on;
+        # k = 8 diverges in step 2 of epoch 32 and the other points train on from the step they took;
         # in_front puts it first in the stack, so the points behind it shift
-        failures = []
-        steps = []
+        calls = []
         real_step, real_stack = harness.train_epoch, harness.train_stack
 
         def recording(ens, x, t, alpha):
-            try:
-                real_step(ens, x, t, alpha)
-            except harness.DivergenceError:
-                failures.append((len(steps), ens.params.tolist()))
-                raise
-            steps.append(ens.params.tolist())
+            real_step(ens, x, t, alpha)
+            calls.append((ens.params.tolist(), bool(np.isfinite(ens.net.theta).all())))
 
         def reversed_stack(cfg, ens, *args):
             return real_stack(cfg, ens.take(np.arange(len(ens.params))[::-1]), *args)[::-1]
@@ -468,13 +479,17 @@ class TestColumn:
         cfg = small_cfg(grid=(0.0, 0.5, 8.0), epochs=40, alpha=0.3, batch_size=7)
         column = self.assert_column_matches_cells(cfg, monkeypatch)
         assert [(r.diverged, r.epochs) for r in column] == [(False, 40), (False, 40), (True, 31)]
-        done, stack = failures[0]
-        assert done == 31 * 6 + 1  # 6 steps an epoch over the 40 training rows
-        assert stack == ([8.0, 0.5, 0.0] if in_front else [0.0, 0.5, 8.0])
-        assert steps[done] == [p for p in stack if p != 8.0]  # the step retaken without it
+        stack = [8.0, 0.5, 0.0] if in_front else [0.0, 0.5, 8.0]
+        steps, done = 40 * 6, 31 * 6 + 2  # 6 steps an epoch over the 40 training rows
+        # the column: 188 steps on 3 points, then 52 on the 2 left, with no step taken again;
+        # then the cells alone, k = 8 stopping at its diverging step
+        alone = [[0.0]] * steps + [[0.5]] * steps + [[8.0]] * done
+        assert [p for p, _ in calls] == [stack] * done + [[p for p in stack if p != 8.0]] * (steps - done) + alone
+        finite = [f for _, f in calls]
+        assert [i for i, f in enumerate(finite) if not f] == [done - 1, 3 * steps + done - 1]
 
     def test_workspace_replaced_when_point_leaves(self, monkeypatch):
-        # the run of test_point_diverging_mid_epoch: 9 learners until step 31 * 6 + 1, then 6
+        # the run of test_point_diverging_mid_epoch: 9 learners for 31 * 6 + 2 steps, then 6
         shapes = []
         real_step = harness.train_epoch
 
@@ -486,7 +501,8 @@ class TestColumn:
         cfg = small_cfg(grid=(0.0, 0.5, 8.0), epochs=40, alpha=0.3, batch_size=7)
         ds = load_dataset(cfg)
         harness.run_column(cfg, 3, ds, fold_split_for(cfg, ds.n_samples), 1)
-        done = 31 * 6 + 1
+        done = 31 * 6 + 2
+        assert len(shapes) == 40 * 6
         assert len({w for w, _ in shapes[:done]}) == 1 and len({w for w, _ in shapes[done:]}) == 1
         assert shapes[done - 1][0] != shapes[done][0]
         for step, (_, arrays) in enumerate(shapes):
@@ -738,13 +754,13 @@ class TestDiversityProfile:
             harness.diversity_profile(result, 3)
 
     def test_all_folds_diverged_is_not_a_step_error(self):
-        # DivergenceError means a step's non-finite update; a profile with no finite cell is a plain RuntimeError
+        # a profile with no finite cell at a grid point is a plain RuntimeError, which the CLI reports as exit 2
         nan = float("nan")
         rows = [SweepRow("sea", p, 3, f, *((nan, nan, 2, True) if p == 1.0 else (0.5, 0.1, 5, False)))
                 for p in (0.0, 0.5, 1.0) for f in (0, 1)]
         with pytest.raises(RuntimeError, match="all folds diverged at param=1.0") as exc:
             harness.diversity_profile(harness.SweepResult(rows, "regression", "{}"), 3)
-        assert not isinstance(exc.value, harness.DivergenceError)
+        assert type(exc.value) is RuntimeError
 
     def test_profile_fields(self):
         result = run_sweep(small_cfg(grid=(0.0, 0.5, 1.0), m_list=(3, 4), epochs=20))
