@@ -223,7 +223,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_boundary(args) -> int:
     cfg = _config_from_args(args)
-    points = len(set(cfg.grid))
+    points = len(cfg.grid)
     if points < harness.MIN_BOUNDARY_POINTS:
         raise UsageError(f"boundary needs at least {harness.MIN_BOUNDARY_POINTS} grid points, got {points}")
     result = harness.run_sweep(cfg)
@@ -243,7 +243,7 @@ def _cmd_diversity(args) -> int:
     cfg = _config_from_args(args)
     if cfg.method not in ("sea", "ncl"):
         raise UsageError(f"no std prediction for method {cfg.method!r}; diversity takes sea or ncl")
-    points = len(set(cfg.grid))
+    points = len(cfg.grid)
     if points < 3:
         raise UsageError(f"diversity needs a grid of at least 3 points, got {points}")
     for m in cfg.m_list:

@@ -75,10 +75,9 @@ class EnsembleModel:
     ensemble is P = 1 at ``config.param``. Bagging's bootstrap resamples are
     one (M, n) index array, shared by the P ensembles; ``rows`` and
     ``counts``, (M, w) each, are derived from it once (:func:`drawn_rows`),
-    and are None for the other methods. ``work`` is the kernel
-    workspace of :func:`train_epoch` (see :mod:`sea_ensemble.mlp`), one step's
-    arrays of the last (stack, batch rows) shape; no other function uses it.
-    The constructor only assigns these fields, as ``MLP``'s does.
+    and are None for the other methods. ``work`` is the kernel workspace
+    (see :mod:`sea_ensemble.mlp`). The constructor only assigns these
+    fields, as ``MLP``'s does.
     """
 
     def __init__(self, net: MLP, config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):
@@ -98,7 +97,6 @@ class EnsembleModel:
         points = np.asarray(points, dtype=np.intp)
         rows = (points[:, None] * self.m + np.arange(self.m)).ravel()
         other = copy.copy(self)
-        other.work = {}
         # one fancy index copies the rows
         other.net = MLP(self.net.theta[rows], self.net.shapes)
         other.params = self.params[points] if params is None else np.array(params, dtype=np.float64)
@@ -280,8 +278,7 @@ def train_epoch(ens: EnsembleModel, x: np.ndarray, t: np.ndarray, alpha: float) 
     :func:`drawn_batch`, gathered once for many steps. The step updates
     ``ens.net.theta`` in place; a learner whose update is non-finite keeps
     its non-finite values there, for the caller to find. The forward and
-    backward arrays go to ``ens.work``, where the next step of the same
-    shape reuses them.
+    backward arrays go to ``ens.work``.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)

@@ -82,8 +82,8 @@ MIN_BOUNDARY_POINTS = 5  # distinct grid points the boundary estimator needs
 
 # Bytes of one layer's activations over a chunk of a column's grid points,
 # and over a group of grid points scored in one forward pass.
-# The training step keeps its large arrays in a workspace that a column's
-# chunks hand on (see mlp), so this bounds memory, not allocator traffic.
+# The kernels keep their large arrays in a workspace (see mlp), so this
+# bounds memory, not allocator traffic.
 # 192 KB stacks 4 grid points at M=3, 2 at M=5 and 1 at M=10 on 200
 # full-batch rows, and a whole 11-point column at M=20 and 10-row batches.
 # On a 2-vCPU x86 VM, against 64 KB without the workspace (10 runs of 30 s
@@ -169,10 +169,11 @@ class ExperimentConfig:
             raise ValueError("parameter grid must be nonempty")
         if not np.isfinite(self.grid).all():
             raise ValueError(f"parameter grid values must be finite, got {list(self.grid)}")
-        if any(b < a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("parameter grid must be sorted ascending")
-        if not self.m_list or any(m < 1 for m in self.m_list):
-            raise ValueError("m_list must contain positive ensemble sizes")
+        for a, b in zip(self.grid, self.grid[1:]):
+            if b <= a:
+                raise ValueError(f"parameter grid points must be sorted strictly ascending, got {b} after {a}")
+        if not self.m_list or min(self.m_list) < 1 or len(set(self.m_list)) < len(self.m_list):
+            raise ValueError(f"m_list must hold distinct positive ensemble sizes, got {list(self.m_list)}")
         if self.method in ADJUSTABLE and min(self.m_list) < 2:
             raise ValueError(f"{self.method} needs ensemble sizes >= 2, got m_list {list(self.m_list)}")
         if self.folds < 2:
@@ -311,9 +312,7 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     The grid points then train as P copies of the initial learners on one
     (P*M, fan_out, fan_in) stack, in :func:`train_stack`, in chunks of at
     most ``STACK_BYTES`` per activation over the rows a step reads: w for
-    bagging, whose learners read their drawn rows, not n. The chunks share
-    one kernel workspace, so a column allocates its step buffers once per
-    shape, not once per chunk.
+    bagging, whose learners read their drawn rows, not n.
     """
     train, eval_ds = fold_data(cfg, ds, split, fold)
     # the method's default parameter; each grid point sets its own
@@ -330,12 +329,9 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     n_rows = epoch_steps(untrained, train.features, train.targets, cfg.batch_size)[0][0].shape[-2]
     chunk = _points_in_budget(cfg, m, train.n_outputs, n_rows)
     rows = []
-    work = {}  # the chunks train one after another, so each takes over the last one's buffers
     for start in range(0, len(cfg.grid), chunk):
         grid = cfg.grid[start : start + chunk]
-        stack = untrained.take([0] * len(grid), grid)
-        stack.work = work
-        rows += train_stack(cfg, stack, train, eval_ds, fold)
+        rows += train_stack(cfg, untrained.take([0] * len(grid), grid), train, eval_ds, fold)
     return rows
 
 
@@ -382,7 +378,7 @@ def train_stack(
         group = _points_in_budget(cfg, m, eval_ds.n_outputs, eval_ds.n_samples)
         for start in range(0, len(live), group):  # a view of the stack's rows: no copy
             preds, _ = forward_batch(MLP(ens.net.theta[start * m : (start + group) * m], ens.net.shapes),
-                                     eval_ds.features)
+                                     eval_ds.features, ens.work)
             for point, stack in zip(live[start : start + group], preds.reshape(-1, m, *preds.shape[1:])):
                 value = ensemble_metric(stack, eval_ds.targets, eval_ds.task)
                 if np.isfinite(value):  # parameters can stay finite while the predictions blow up
@@ -444,7 +440,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     started = time.perf_counter()
     if cfg.method == "sea":
-        for m, k in sorted({(m, k) for m in cfg.m_list for k in cfg.grid}):
+        for m, k in product(sorted(cfg.m_list), cfg.grid):
             warn_outside_sea_interval(k, m)
     ms, folds = zip(*[(m, fold) for m in sorted(cfg.m_list, reverse=True) for fold in range(cfg.folds)])
     ds = load_dataset(cfg)

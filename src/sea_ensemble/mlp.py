@@ -50,10 +50,15 @@ Workspace: :func:`forward_batch` and :func:`backward_batch` write every
 reused while its shape holds and replaced when it changes, so a workspace
 holds one step's arrays, of the last shape it saw. By default each call gets
 a fresh dict and allocates as a plain numpy call would; a caller that passes
-its own, as a training loop does, gets results that alias it and are
-overwritten by its next call. Reuse keeps large arrays off the allocator:
-past glibc's mmap threshold (128 KB), a fresh array is mapped and faulted in
-again at every step.
+its own gets results that alias it and are overwritten by its next call.
+An ensemble owns one workspace, ``EnsembleModel.work``, and every stack
+taken from it shares it: a column's chunks, the smaller stack left when a
+point diverges, and the forward that scores them. That is safe because the
+stacks step one at a time and each call writes a buffer before it reads it;
+only the ones rows are not rewritten, as they are written once, when their
+buffer is made. Reuse keeps large arrays off the allocator: past glibc's
+mmap threshold (128 KB), a fresh array is mapped and faulted in again at
+every step.
 """
 
 from __future__ import annotations

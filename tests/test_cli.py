@@ -168,6 +168,24 @@ class TestUsage:
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--grid", "0,0,1"], "grid points must be sorted strictly ascending, got 0.0 after 0.0"),
+            (["--grid", "0", "--m", "2,2"], "m_list must hold distinct positive ensemble sizes, got [2, 2]"),
+        ],
+    )
+    def test_repeated_cell_rejected_before_training(self, tmp_path, capsys, monkeypatch, flags, message):
+        # a repeated grid value or ensemble size would train the same (param, M, fold) cells again
+        def no_sweep(*args):
+            raise AssertionError("swept before rejecting the config")
+
+        monkeypatch.setattr("sea_ensemble.harness.run_sweep", no_sweep)
+        assert main(["sweep", "--method", "sea", "--outdir", str(tmp_path)] + BASE + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and message in err
+        assert not any(tmp_path.iterdir())
+
     def test_boundary_short_grid_rejected_before_training(self, tmp_path, capsys):
         args = ["boundary", "--method", "sea", "--grid", "0,0.5,1,1,1.5", "--outdir", str(tmp_path)] + BASE
         assert main(args) == EXIT_USAGE
@@ -410,7 +428,7 @@ class TestDiversity:
             (["--method", "independent", "--grid", "0,0.5,1"], "no std prediction for method 'independent'"),
             (["--method", "bagging", "--grid", "0,0.5,1"], "no std prediction for method 'bagging'"),
             (["--method", "sea", "--grid", "0,1"], "at least 3 points"),
-            (["--method", "sea", "--grid", "0,0,1"], "at least 3 points, got 2"),
+            (["--method", "sea", "--grid", "0,1"], "at least 3 points, got 2"),
         ],
     )
     def test_bad_input_rejected_before_training(self, tmp_path, capsys, monkeypatch, flags, message):

@@ -489,13 +489,13 @@ class TestColumn:
         assert [i for i, f in enumerate(finite) if not f] == [done - 1, 3 * steps + done - 1]
 
     def test_workspace_replaced_when_point_leaves(self, monkeypatch):
-        # the run of test_point_diverging_mid_epoch: 9 learners for 31 * 6 + 2 steps, then 6
+        # the run of test_point_diverging_mid_epoch: 9 learners for 31 * 6 + 2 steps, then 6, in one workspace
         shapes = []
         real_step = harness.train_epoch
 
         def recording(ens, x, t, alpha):
             real_step(ens, x, t, alpha)
-            shapes.append((id(ens.work), sorted(a.shape for a in ens.work.values())))
+            shapes.append((ens.work, sorted(a.shape for a in ens.work.values())))
 
         monkeypatch.setattr(harness, "train_epoch", recording)
         cfg = small_cfg(grid=(0.0, 0.5, 8.0), epochs=40, alpha=0.3, batch_size=7)
@@ -503,8 +503,7 @@ class TestColumn:
         harness.run_column(cfg, 3, ds, fold_split_for(cfg, ds.n_samples), 1)
         done = 31 * 6 + 2
         assert len(shapes) == 40 * 6
-        assert len({w for w, _ in shapes[:done]}) == 1 and len({w for w, _ in shapes[done:]}) == 1
-        assert shapes[done - 1][0] != shapes[done][0]
+        assert all(work is shapes[0][0] for work, _ in shapes)
         for step, (_, arrays) in enumerate(shapes):
             # hidden (5,): the input (D + 1, rows), two activations, two g and one d, each (width, learners, rows)
             assert len(arrays) == 6 and sum(len(s) == 2 for s in arrays) == 1
@@ -527,6 +526,21 @@ class TestColumn:
         assert [p for _, p in works] == [2, 1]
         assert works[0][0] is works[1][0]
         assert {a.shape[-2] for a in works[0][0].values() if a.ndim == 3} == {3}  # the last chunk's learners
+
+    def test_scoring_runs_in_the_workspace(self, monkeypatch):
+        # 4 folds of 80 rows: 60 training rows and 20 scoring rows, scored 2 points at a time, then 1
+        monkeypatch.setattr(harness, "STACK_BYTES", 2 * 3 * 5 * 20 * 8)
+        cfg = small_cfg(grid=(0.0, 0.5, 1.0), folds=4, epochs=2)
+        ds = load_dataset(cfg)
+        train, eval_ds = harness.fold_data(cfg, ds, fold_split_for(cfg, ds.n_samples), 1)
+        assert (train.n_samples, eval_ds.n_samples) == (60, 20)
+        base = build_ensemble(train.n_features, list(cfg.hidden), 1, 3, MethodConfig("sea"), seed=fold_seed(cfg, 1))
+        ens = base.take([0] * 3, cfg.grid)
+        harness.train_stack(cfg, ens, train, eval_ds, 1)
+        # the forward of the last group, 3 learners on 20 rows; backward's g and d keep the training step's shapes
+        assert {key: a.shape for key, a in ens.work.items() if key[0] == "a"} == {
+            ("a", 0): (3, 20), ("a", 1): (6, 3, 20), ("a", 2): (1, 3, 20)}
+        assert {a.shape[-2:] for key, a in ens.work.items() if key[0] != "a"} == {(9, 60)}
 
 
 class TestSeaIsNclAtRescaledStep:
