@@ -3,7 +3,7 @@
 Subcommands wire a JSON config (plus flag overrides) to the harness and
 theory layers:
 
-    train      fit one ensemble on the whole dataset, save a checkpoint
+    train      fit the config's one (parameter, M) cell on the whole dataset, save a checkpoint
     sweep      cross-validated grid sweep -> sweep.csv + sweep.json
     bounds     closed-form bound table over an M range -> bounds.csv
     boundary   sweep + real-boundary estimate per ensemble size
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, gradcheck, harness, theory
 from .data import standardize
-from .ensemble import METHODS, MethodConfig, build_ensemble, ensemble_to_json
+from .ensemble import METHODS, ensemble_to_json
 from .harness import ExperimentConfig
 
 log = logging.getLogger("sea_ensemble.cli")
@@ -67,6 +67,8 @@ def _parse_float_list(text: str) -> list[float]:
         if count >= MAX_GRID_POINTS:
             raise UsageError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
         values = [round(lo + i * step, 10) for i in range(count + 1)]
+        if len(set(values)) < len(values):
+            raise UsageError(f"range {text!r} repeats values at 10 decimals: its step {step:g} is too small")
         return [v for v in values if v <= hi + step * 1e-9]
     try:
         return [float(p) for p in text.split(",") if p.strip()]
@@ -127,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one ensemble, save a checkpoint")
     _add_config_flags(p_train)
-    p_train.add_argument("--param", type=float, help="adjustable parameter value")
+    p_train.add_argument("--param", dest="grid", type=_parse_float_list, metavar="VALUE",
+                         help="adjustable parameter value: a one-point --grid")
 
     p_sweep = sub.add_parser("sweep", help="cross-validated parameter sweep")
     _add_config_flags(p_sweep)
@@ -181,15 +184,14 @@ def _cmd_train(args) -> int:
     cfg = _config_from_args(args)
     if cfg.metric_on_train:
         raise UsageError("train scores the data it trains on; metric_on_train is for sweep, boundary and diversity")
-    param = args.param if args.param is not None else cfg.grid[0]
-    if not np.isfinite(param):
-        raise UsageError(f"--param must be finite, got {param}")
-    m = cfg.m_list[0]
-    if cfg.method == "sea":
-        harness.warn_outside_sea_interval(param, m)
+    if len(cfg.grid) > 1 or len(cfg.m_list) > 1:
+        raise UsageError(f"train fits one (parameter, M) cell; the config names {len(cfg.grid)} grid values "
+                         f"and {len(cfg.m_list)} ensemble sizes")
+    harness.warn_outside_sea_interval(cfg)
+    (param,), (m,) = cfg.grid, cfg.m_list
     train, _ = standardize(harness.load_dataset(cfg))
-    ens = build_ensemble(train.n_features, list(cfg.hidden), train.n_outputs, m, MethodConfig(cfg.method, param),
-                         seed=harness.fold_seed(cfg, 0), n_train=train.n_samples)
+    # fold 0's initial learners of a sweep, taken at the config's grid as a column takes its cells
+    ens = harness.initial_ensemble(cfg, train, m, 0).take([0], cfg.grid)
     log.info("training %s param=%g M=%d for %d epochs", cfg.method, param, m, cfg.epochs)
     # the sweep's training loop, scoring the training set; a row that did not diverge trained ens in place
     (row,) = harness.train_stack(cfg, ens, train, train, 0)
@@ -241,15 +243,13 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_diversity(args) -> int:
     cfg = _config_from_args(args)
-    if cfg.method not in ("sea", "ncl"):
-        raise UsageError(f"no std prediction for method {cfg.method!r}; diversity takes sea or ncl")
     points = len(cfg.grid)
     if points < 3:
         raise UsageError(f"diversity needs a grid of at least 3 points, got {points}")
     for m in cfg.m_list:
         try:
             theory.predicted_std_curve(cfg.method, cfg.grid, m, 1.0)
-        except ZeroDivisionError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"no std prediction at M={m}: {exc}") from None
     result = harness.run_sweep(cfg)
     for m in cfg.m_list:

@@ -6,10 +6,10 @@ grid points is one job, a call of :func:`run_column` with the same
 arguments whether a pool worker or this process runs it. A job
 standardizes the fold and builds the initial learners once for all its
 grid points, then trains the points as one stack of P*M learners, in
-chunks of at most ``STACK_BYTES`` per layer activation over the rows a step
-reads. What a step reads, bagging's drawn rows included, is
-:func:`~sea_ensemble.ensemble.epoch_steps`'s to say; this module names no
-method's data rule. Each grid point gives one :class:`SweepRow`, one line
+chunks of at most ``STACK_BYTES`` per layer activation or per-learner
+input over the rows a step reads. What a step reads, bagging's drawn rows
+included, is :func:`~sea_ensemble.ensemble.epoch_steps`'s to say; this
+module names no method's data rule. Each grid point gives one :class:`SweepRow`, one line
 of ``sweep.csv``; rows are sorted before persistence so output files are
 byte-identical for a given config regardless of worker count.
 
@@ -80,8 +80,8 @@ PLATEAU_SPREAD = 0.02    # max relative spread inside the trailing plateau run
 BOUNDARY_MARGIN = 0.05   # required improvement over the plateau
 MIN_BOUNDARY_POINTS = 5  # distinct grid points the boundary estimator needs
 
-# Bytes of one layer's activations over a chunk of a column's grid points,
-# and over a group of grid points scored in one forward pass.
+# Bytes of one layer's activations, or of bagging's per-learner inputs, over a
+# chunk of a column's grid points, and over a group scored in one forward pass.
 # The kernels keep their large arrays in a workspace (see mlp), so this
 # bounds memory, not allocator traffic.
 # 192 KB stacks 4 grid points at M=3, 2 at M=5 and 1 at M=10 on 200
@@ -304,30 +304,24 @@ def fold_data(cfg: ExperimentConfig, ds: Dataset, split: FoldSplit, fold: int) -
     return train, train if cfg.metric_on_train else standardize(test_raw, stats)[0]
 
 
+def initial_ensemble(cfg: ExperimentConfig, train: Dataset, m: int, fold: int) -> EnsembleModel:
+    """The learners and bagging's bootstrap that every cell of a fold starts from: one recipe, for sweeps and train."""
+    return build_ensemble(train.n_features, list(cfg.hidden), train.n_outputs, m, MethodConfig(cfg.method),
+                          seed=fold_seed(cfg, fold), n_train=train.n_samples)
+
+
 def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fold: int) -> list[SweepRow]:
     """Every grid point of one (M, fold) column: train on K-1 folds, score the held-out fold.
 
     What the grid points share is done once: the fold's data
-    (:func:`fold_data`), the initial learners and bagging's bootstrap.
-    The grid points then train as P copies of the initial learners on one
-    (P*M, fan_out, fan_in) stack, in :func:`train_stack`, in chunks of at
-    most ``STACK_BYTES`` per activation over the rows a step reads: w for
-    bagging, whose learners read their drawn rows, not n.
+    (:func:`fold_data`) and :func:`initial_ensemble`. The grid points then
+    train as P copies of the initial learners on one (P*M, fan_out, fan_in)
+    stack, in :func:`train_stack`, in chunks of at most ``STACK_BYTES`` per
+    array over the rows a step reads (:func:`_points_in_budget`).
     """
     train, eval_ds = fold_data(cfg, ds, split, fold)
-    # the method's default parameter; each grid point sets its own
-    untrained = build_ensemble(
-        train.n_features,
-        list(cfg.hidden),
-        train.n_outputs,
-        m,
-        MethodConfig(cfg.method),
-        seed=fold_seed(cfg, fold),
-        n_train=train.n_samples,
-    )
-    # the rows a step reads: a batch's, or the w drawn rows of bagging's widest learner
-    n_rows = epoch_steps(untrained, train.features, train.targets, cfg.batch_size)[0][0].shape[-2]
-    chunk = _points_in_budget(cfg, m, train.n_outputs, n_rows)
+    untrained = initial_ensemble(cfg, train, m, fold)
+    chunk = _points_in_budget(untrained, epoch_steps(untrained, train.features, train.targets, cfg.batch_size)[0][0])
     rows = []
     for start in range(0, len(cfg.grid), chunk):
         grid = cfg.grid[start : start + chunk]
@@ -335,9 +329,13 @@ def run_column(cfg: ExperimentConfig, m: int, ds: Dataset, split: FoldSplit, fol
     return rows
 
 
-def _points_in_budget(cfg: ExperimentConfig, m: int, n_outputs: int, n_rows: int) -> int:
-    """The grid points of M learners whose widest activation over ``n_rows`` rows fits ``STACK_BYTES``; at least 1."""
-    return max(1, STACK_BYTES // (8 * m * max(cfg.hidden + (n_outputs,)) * n_rows))
+def _points_in_budget(ens: EnsembleModel, x: np.ndarray) -> int:
+    """The ensembles of ``ens.m`` learners whose widest array over input ``x`` fits ``STACK_BYTES``; at least 1.
+
+    The arrays are each layer's activations over the rows of ``x`` and a per-learner (M, w, D) ``x`` itself.
+    """
+    widths = [fan_out for fan_out, _ in ens.net.shapes] + [x.shape[-1]] * (x.ndim == 3)
+    return max(1, STACK_BYTES // (8 * ens.m * max(widths) * x.shape[-2]))
 
 
 def train_stack(
@@ -375,7 +373,7 @@ def train_stack(
             ens = ens.take(np.flatnonzero(~out))
             steps = epoch_steps(ens, train.features, train.targets, cfg.batch_size)
         m = ens.m
-        group = _points_in_budget(cfg, m, eval_ds.n_outputs, eval_ds.n_samples)
+        group = _points_in_budget(ens, eval_ds.features)
         for start in range(0, len(live), group):  # a view of the stack's rows: no copy
             preds, _ = forward_batch(MLP(ens.net.theta[start * m : (start + group) * m], ens.net.shapes),
                                      eval_ds.features, ens.work)
@@ -421,11 +419,14 @@ class SweepResult:
     wall_time: float = field(default=0.0, compare=False)
 
 
-def warn_outside_sea_interval(k: float, m: int) -> None:
-    """Log a warning when sea's k lies outside the theoretical interval for M learners."""
-    lo, hi = theory.sea_k_bounds(m)
-    if not lo < k < hi:
-        log.warning("SEA k=%g outside the theoretical interval (%g, %g) for M=%d; proceeding", k, lo, hi, m)
+def warn_outside_sea_interval(cfg: ExperimentConfig) -> None:
+    """Log a warning for each (M, k) of a sea config whose k lies outside the theoretical interval for M learners."""
+    if cfg.method != "sea":
+        return
+    for m, k in product(sorted(cfg.m_list), cfg.grid):
+        lo, hi = theory.sea_k_bounds(m)
+        if not lo < k < hi:
+            log.warning("SEA k=%g outside the theoretical interval (%g, %g) for M=%d; proceeding", k, lo, hi, m)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -439,9 +440,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     k outside the theoretical interval is logged here, once per (M, k).
     """
     started = time.perf_counter()
-    if cfg.method == "sea":
-        for m, k in product(sorted(cfg.m_list), cfg.grid):
-            warn_outside_sea_interval(k, m)
+    warn_outside_sea_interval(cfg)
     ms, folds = zip(*[(m, fold) for m in sorted(cfg.m_list, reverse=True) for fold in range(cfg.folds)])
     ds = load_dataset(cfg)
     split = fold_split_for(cfg, ds.n_samples)

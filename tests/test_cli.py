@@ -123,8 +123,8 @@ class TestUsage:
             ("sweep", ["--alpha", "inf"], "alpha must be finite"),
             ("sweep", ["--synth-noise", "nan"], "noise_sd must be finite"),
             ("train", ["--alpha", "nan"], "alpha must be finite"),
-            ("train", ["--param", "nan"], "--param must be finite"),
-            ("train", ["--param=-inf"], "--param must be finite"),
+            ("train", ["--param", "nan"], "parameter grid values must be finite"),
+            ("train", ["--param=-inf"], "parameter grid values must be finite"),
             ("sweep", ["--grid", "0:inf:1"], "bad range"),
             ("sweep", ["--grid", "0:nan:1"], "bad range"),
             ("sweep", ["--grid", "nan:1:0.5"], "bad range"),
@@ -184,6 +184,18 @@ class TestUsage:
         assert main(["sweep", "--method", "sea", "--outdir", str(tmp_path)] + BASE + flags) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: ") and message in err
+        assert not any(tmp_path.iterdir())
+
+    def test_range_step_below_rounding_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        # a range's values are rounded to 10 decimals, so a step of 1e-11 would repeat them
+        def no_dataset(*args):
+            raise AssertionError("loaded the dataset before rejecting the range")
+
+        monkeypatch.setattr("sea_ensemble.harness.load_dataset", no_dataset)
+        args = ["sweep", "--method", "sea", "--grid", "0:1e-9:1e-11", "--outdir", str(tmp_path)] + BASE
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: range '0:1e-9:1e-11' repeats values at 10 decimals: its step 1e-11 is too small\n")
         assert not any(tmp_path.iterdir())
 
     def test_boundary_short_grid_rejected_before_training(self, tmp_path, capsys):
@@ -372,6 +384,45 @@ class TestTrain:
         assert [r.getMessage() for r in caplog.records if "outside" in r.getMessage()] == [
             "SEA k=3 outside the theoretical interval (-0.25, 2.25) for M=5; proceeding"]
         assert ensemble_from_json((tmp_path / "checkpoint.json").read_text()).params.tolist() == [3.0]
+
+    @pytest.mark.parametrize("flags,named", [(["--grid", "0,1"], "2 grid values and 1 ensemble sizes"),
+                                             (["--m", "3,5"], "1 grid values and 2 ensemble sizes")])
+    def test_several_cells_rejected_before_data_loads(self, tmp_path, capsys, monkeypatch, flags, named):
+        def no_dataset(*args):
+            raise AssertionError("loaded the dataset before rejecting the config")
+
+        monkeypatch.setattr("sea_ensemble.harness.load_dataset", no_dataset)
+        assert main(["train", "--method", "sea", "--outdir", str(tmp_path)] + BASE + flags) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: train fits one (parameter, M) cell; the config names {named}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_flags_pick_one_cell_of_a_config(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"method": "sea", "grid": [0, 1.5], "m_list": [3, 5], "synth": {"n": 60},
+                                      "epochs": 4, "hidden": [5], "workers": 1}))
+        args = ["train", "--config", str(config), "--param", "0.5", "--outdir", str(tmp_path / "out")]
+        assert main(args) == EXIT_USAGE  # the config's two sizes are left
+        assert not (tmp_path / "out").exists()
+        assert main(args + ["--m", "3"]) == EXIT_OK
+        ens = ensemble_from_json((tmp_path / "out" / "checkpoint.json").read_text())
+        assert ens.params.tolist() == [0.5] and ens.m == 3
+
+    @pytest.mark.parametrize("method,param", [("sea", "0.5"), ("bagging", "0")])
+    def test_starts_from_a_sweeps_fold_0_learners(self, tmp_path, monkeypatch, method, param):
+        # train's initial learners are bitwise those of fold 0's column in a sweep of the same config
+        initial = {}
+        real = harness.train_stack
+
+        def recording(cfg, ens, train, eval_ds, fold):
+            initial.setdefault((eval_ds is train, fold), ens.net.theta.copy())
+            return real(cfg, ens, train, eval_ds, fold)
+
+        monkeypatch.setattr(harness, "train_stack", recording)
+        args = ["--method", method, "--grid", param, "--seed", "4"] + BASE
+        assert main(["train", "--outdir", str(tmp_path / "t")] + args) == EXIT_OK
+        assert main(["sweep", "--outdir", str(tmp_path / "s")] + args) == EXIT_OK
+        trained, swept = initial[True, 0], initial[False, 0]
+        assert trained.shape == swept.shape and trained.tobytes() == swept.tobytes()
 
 
 class TestBoundary:

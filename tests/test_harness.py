@@ -527,6 +527,25 @@ class TestColumn:
         assert works[0][0] is works[1][0]
         assert {a.shape[-2] for a in works[0][0].values() if a.ndim == 3} == {3}  # the last chunk's learners
 
+    def test_bagging_input_counts_in_the_budget(self, monkeypatch):
+        # 30 features, wider than hidden (10,): bagging's (P*M, w, D) layer-0 input is the widest array,
+        # which leaves room for 3 grid points a chunk on about 100 drawn rows
+        chunks = []
+        real = harness.train_stack
+
+        def recording(cfg, ens, train, *args):
+            chunks.append((len(ens.params), ens.m, ens.rows.shape[1], train.n_features))
+            return real(cfg, ens, train, *args)
+
+        monkeypatch.setattr(harness, "train_stack", recording)
+        rng = np.random.default_rng(0)
+        ds = harness.Dataset("wide", rng.normal(size=(200, 30)), rng.normal(size=200))
+        cfg = small_cfg(method="bagging", grid=tuple(range(20)), m_list=(2,), folds=5, epochs=1, hidden=(10,))
+        harness.run_column(cfg, 2, ds, fold_split_for(cfg, ds.n_samples), 0)
+        assert sum(p for p, *_ in chunks) == 20 and max(p for p, *_ in chunks) > 1
+        for p, m, w, d in chunks:
+            assert p == 1 or 8 * p * m * d * w <= harness.STACK_BYTES, (p, m, w, d)
+
     def test_scoring_runs_in_the_workspace(self, monkeypatch):
         # 4 folds of 80 rows: 60 training rows and 20 scoring rows, scored 2 points at a time, then 1
         monkeypatch.setattr(harness, "STACK_BYTES", 2 * 3 * 5 * 20 * 8)
