@@ -7,7 +7,7 @@ theory layers:
     sweep      cross-validated grid sweep -> sweep.csv + sweep.json
     bounds     closed-form bound table over an M range -> bounds.csv
     boundary   sweep + real-boundary estimate per ensemble size
-    diversity  std-vs-parameter profile per ensemble size
+    diversity  sweep + std-vs-parameter profile per ensemble size
     gradcheck  finite-difference verification of every analytic gradient
 
 Logs go to stderr; data goes to files only. Exit status: 0 success,
@@ -252,6 +252,7 @@ def _cmd_diversity(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"no std prediction at M={m}: {exc}") from None
     result = harness.run_sweep(cfg)
+    harness.persist_sweep(result, cfg.outdir)
     for m in cfg.m_list:
         profile = harness.diversity_profile(result, m)
         harness.persist_diversity(profile, cfg.outdir, prefix=f"m{m}_")
@@ -283,15 +284,15 @@ _COMMANDS = {
 
 
 def _join_grid_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--grid VALUE`` as ``--grid=VALUE``.
+    """Rewrite ``--grid VALUE`` as ``--grid=VALUE``, and ``--param VALUE`` likewise.
 
-    argparse reads a value such as ``-0.5:2.5:0.1`` after a space as a flag,
-    not as the grid; joined, it parses like the ``=`` form.
+    argparse reads a value such as ``-0.5:2.5:0.1`` or ``-1e-3`` after a space
+    as a flag, not as the grid; joined, it parses like the ``=`` form.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--grid" and not arg.startswith("--"):
-            out[-1] = f"--grid={arg}"
+        if out and out[-1] in ("--grid", "--param") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out

@@ -71,13 +71,13 @@ class MethodConfig:
 class EnsembleModel:
     """P ensembles of M same-shape learners held as one stacked MLP, ``net``, plus the training method.
 
-    Ensemble p is learners [p*M, (p+1)*M) and trains at ``params[p]``; one
-    ensemble is P = 1 at ``config.param``. Bagging's bootstrap resamples are
-    one (M, n) index array, shared by the P ensembles; ``rows`` and
-    ``counts``, (M, w) each, are derived from it once (:func:`drawn_rows`),
-    and are None for the other methods. ``work`` is the kernel workspace
-    (see :mod:`sea_ensemble.mlp`). The constructor only assigns these
-    fields, as ``MLP``'s does.
+    Ensemble p is learners [p*M, (p+1)*M) and ``params[p]`` is its parameter; ``config`` names the
+    method. ``config.param`` is only where a new model's ``params`` start: a stack from :meth:`take`
+    holds its own ``params``, a sweep's grid, and keeps the config it was built with. Bagging's
+    bootstrap resamples are one (M, n) index array, shared by the P ensembles; ``rows`` and
+    ``counts``, (M, w) each, are derived from it once (:func:`drawn_rows`), and are None for the
+    other methods. ``work`` is the kernel workspace (see :mod:`sea_ensemble.mlp`). The
+    constructor only assigns these fields, as ``MLP``'s does.
     """
 
     def __init__(self, net: MLP, config: MethodConfig, seed: int, bootstrap: np.ndarray | None = None):

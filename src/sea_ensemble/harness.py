@@ -11,7 +11,7 @@ input over the rows a step reads. What a step reads, bagging's drawn rows
 included, is :func:`~sea_ensemble.ensemble.epoch_steps`'s to say; this
 module names no method's data rule. Each grid point gives one :class:`SweepRow`, one line
 of ``sweep.csv``; rows are sorted before persistence so output files are
-byte-identical for a given config regardless of worker count.
+byte-identical for a given config regardless of worker count and output directory.
 
 Seeds: the master seed is split by purpose (see :mod:`sea_ensemble.seeds`).
 The data split and the per-fold learner initializations never depend on the
@@ -133,7 +133,7 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs; also the persisted config fingerprint."""
+    """Everything a sweep needs, as the ``sea-config/1`` document ``--config`` reads (``to_dict``)."""
 
     name: str = "experiment"
     dataset_path: str | None = None
@@ -196,6 +196,10 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {"format": CONFIG_FORMAT, **asdict(self)}
 
+    def record(self) -> dict:
+        """``sweep.json``: the config document without the run settings, outdir and workers, on which no row depends."""
+        return {key: value for key, value in self.to_dict().items() if key not in ("outdir", "workers")}
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build a config from a (possibly partial) dict; missing keys keep defaults.
@@ -218,9 +222,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
-
-    def fingerprint(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +416,7 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow]
     task: str
-    fingerprint: str
+    record: dict  # ExperimentConfig.record() of the sweep's config
     wall_time: float = field(default=0.0, compare=False)
 
 
@@ -455,7 +456,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     n_div = sum(r.diverged for r in rows)
     if n_div:
         log.info("%d/%d sweep rows diverged", n_div, len(rows))
-    return SweepResult(rows, cfg.task, cfg.fingerprint(), time.perf_counter() - started)
+    return SweepResult(rows, cfg.task, cfg.record(), time.perf_counter() - started)
 
 
 def boundary_curve(result: SweepResult, m: int) -> list[tuple[float, float]]:
@@ -619,10 +620,9 @@ def persist_sweep(result: SweepResult, outdir: str | Path) -> list[Path]:
     outdir = Path(outdir)
     csv_path = outdir / "sweep.csv"
     _write_csv(csv_path, SWEEP_CSV_HEADER, map(astuple, result.rows))
-    meta_path = outdir / "sweep.json"
-    meta = {"format": CONFIG_FORMAT, "task": result.task, "config": json.loads(result.fingerprint)}
-    _write_text(meta_path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    return [csv_path, meta_path]
+    config_path = outdir / "sweep.json"
+    _write_text(config_path, json.dumps(result.record, sort_keys=True, indent=2) + "\n")
+    return [csv_path, config_path]
 
 
 def persist_boundary(est: BoundaryEstimate, outdir: str | Path, prefix: str = "") -> Path:
@@ -648,7 +648,6 @@ def persist_diversity(profile: DiversityProfile, outdir: str | Path, prefix: str
                zip(profile.params, profile.empirical_std, profile.predicted_std, profile.metric_mean))
     meta_path = outdir / f"{prefix}diversity.json"
     meta = {
-        "format": CONFIG_FORMAT,
         "method": profile.method,
         "m": profile.m,
         "r_squared": profile.r_squared,

@@ -259,15 +259,27 @@ class TestSweep:
         assert metrics_a == metrics_b
 
     def test_byte_identical_reruns(self, tmp_path):
-        # same config (incl. outdir) run twice -> identical bytes
-        args = ["sweep", "--method", "sea", "--grid", "0,1", "--seed", "2",
-                "--outdir", str(tmp_path)] + BASE
-        assert main(args) == EXIT_OK
-        csv1 = (tmp_path / "sweep.csv").read_bytes()
-        json1 = (tmp_path / "sweep.json").read_bytes()
-        assert main(args) == EXIT_OK
-        assert (tmp_path / "sweep.csv").read_bytes() == csv1
-        assert (tmp_path / "sweep.json").read_bytes() == json1
+        # one config at two worker counts into two directories -> identical bytes
+        args = ["sweep", "--method", "sea", "--grid", "0,1", "--seed", "2"] + BASE
+        assert main(args + ["--workers", "1", "--outdir", str(tmp_path / "w1")]) == EXIT_OK
+        assert main(args + ["--workers", "2", "--outdir", str(tmp_path / "w2")]) == EXIT_OK
+        for name in ("sweep.csv", "sweep.json"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+    @pytest.mark.parametrize("source", ["synthetic", "dataset"])
+    def test_rerun_from_sweep_json(self, tmp_path, source):
+        # a sweep's sweep.json is a config: --config on it writes the same files anywhere
+        args = ["sweep", "--method", "sea", "--grid", "0,1", "--seed", "2"] + BASE
+        if source == "dataset":
+            data = tmp_path / "d.libsvm"
+            data.write_text("".join(f"{i % 5} 1:{i / 10} 2:{(i * 7) % 3}\n" for i in range(30)))
+            args += ["--dataset", str(data)]
+        assert main(args + ["--outdir", str(tmp_path / "first")]) == EXIT_OK
+        config = tmp_path / "first" / "sweep.json"
+        assert (json.loads(config.read_text())["dataset_path"] is None) == (source == "synthetic")
+        assert main(["sweep", "--config", str(config), "--outdir", str(tmp_path / "again")]) == EXIT_OK
+        for name in ("sweep.csv", "sweep.json"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
     # parse_libsvm is the door for file data: a non-finite entry is refused, by line, before training
     @pytest.mark.parametrize("line", ["2 1:nan", "-inf 1:0.5"])
@@ -375,6 +387,12 @@ class TestTrain:
         assert not (tmp_path / "checkpoint.json").exists()
         assert logged in caplog.text
 
+    def test_negative_exponent_param_after_space(self, tmp_path):
+        # argparse reads -1e-3 after a space as a flag unless --param is joined to its value, as --grid is
+        args = ["train", "--method", "sea", "--param", "-1e-3", "--outdir", str(tmp_path)] + BASE
+        assert main(args) == EXIT_OK
+        assert ensemble_from_json((tmp_path / "checkpoint.json").read_text()).params.tolist() == [-0.001]
+
     def test_out_of_bounds_k_warns_but_trains(self, tmp_path, caplog):
         # sea's interval for M=5 is (-0.25, 2.25); k is chosen here, so it is warned of here
         args = ["train", "--method", "sea", "--param", "3", "--m", "5", "--synth-n", "60", "--epochs", "1",
@@ -472,13 +490,31 @@ class TestDiversity:
         predicted = [float(r[2]) for r in rows]
         assert predicted == list(theory.predicted_std_ncl(grid, 3, meta["scale_c"]))
 
+    def test_writes_its_sweep(self, tmp_path):
+        args = ["diversity", "--method", "sea", "--grid", "0,0.5,1", "--seed", "2", "--outdir", str(tmp_path)] + BASE
+        assert main(args) == EXIT_OK
+        assert ExperimentConfig.from_dict(json.loads((tmp_path / "sweep.json").read_text())).grid == (0.0, 0.5, 1.0)
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3 * 2
+        meta = json.loads((tmp_path / "m3_diversity.json").read_text())
+        assert sorted(meta) == ["m", "method", "r_squared", "rel_rms_deviation", "scale_c"]
+
+    def test_diverged_grid_point_exits_2_after_writing_its_sweep(self, tmp_path, caplog):
+        # sea at k=8 with alpha 1 overflows in every fold: no profile, but the sweep's rows are written, flagged
+        args = ["diversity", "--method", "sea", "--grid", "0,1,8", "--m", "3", "--alpha", "1", "--epochs", "300",
+                "--synth-n", "40", "--hidden", "4", "--folds", "2", "--workers", "1", "--outdir", str(tmp_path)]
+        assert main(args) == EXIT_RUNTIME
+        assert "all folds diverged at param=8.0" in caplog.text
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows if r.startswith("sea,8.0,")] == ["1", "1"]
+        assert (tmp_path / "sweep.json").exists()
+        assert not (tmp_path / "m3_diversity.csv").exists()
+
     @pytest.mark.parametrize(
         "flags,message",
         [
             (["--method", "nclstar", "--grid", "0,0.5,1"], "no std prediction for method 'nclstar'"),
             (["--method", "independent", "--grid", "0,0.5,1"], "no std prediction for method 'independent'"),
             (["--method", "bagging", "--grid", "0,0.5,1"], "no std prediction for method 'bagging'"),
-            (["--method", "sea", "--grid", "0,1"], "at least 3 points"),
             (["--method", "sea", "--grid", "0,1"], "at least 3 points, got 2"),
         ],
     )

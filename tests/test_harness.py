@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -191,15 +192,15 @@ class TestConfig:
         cfg = small_cfg()
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
-        assert again.fingerprint() == cfg.fingerprint()
+        assert again.record() == cfg.record()
 
     def test_default_fingerprint_pinned(self):
-        # the "config" block of every sweep.json is this document
-        assert ExperimentConfig().fingerprint() == (
+        # every sweep.json is this document for its config: the default config's record
+        assert json.dumps(ExperimentConfig().record(), sort_keys=True) == (
             '{"alpha": 0.05, "batch_size": null, "dataset_path": null, "epochs": 200, "folds": 5, '
             '"format": "sea-config/1", "grid": [0.0], "hidden": [10, 10], "m_list": [5], "method": "sea", '
-            '"metric_on_train": false, "name": "experiment", "outdir": "results", "seed": 0, '
-            '"synth": {"n": 400, "noise_sd": 0.1}, "task": "regression", "workers": 1}'
+            '"metric_on_train": false, "name": "experiment", "seed": 0, '
+            '"synth": {"n": 400, "noise_sd": 0.1}, "task": "regression"}'
         )
 
     def test_unknown_key_rejected(self):
@@ -599,7 +600,7 @@ class TestSweep:
 
     def test_mean_of_identical_rows(self):
         rows = [SweepRow("sea", 0.5, 5, f, 0.25, 0.1, 10, False) for f in range(3)]
-        assert harness.boundary_curve(harness.SweepResult(rows, "regression", "{}"), 5) == [(0.5, 0.25)]
+        assert harness.boundary_curve(harness.SweepResult(rows, "regression", {}), 5) == [(0.5, 0.25)]
 
     def test_deterministic_and_worker_invariant(self):
         cfg1 = small_cfg(epochs=5)
@@ -652,7 +653,7 @@ class TestSweep:
             SweepRow("sea", 3.0, 5, 0, float("nan"), float("nan"), 4, True),
             SweepRow("sea", 3.0, 5, 1, 0.6, 0.1, 10, False),
         ]
-        result = harness.SweepResult(rows, CLASSIFICATION, "{}")
+        result = harness.SweepResult(rows, CLASSIFICATION, {})
         curve = harness.boundary_curve(result, 5)
         assert curve == [(0.0, 0.2), (3.0, 0.3)]
 
@@ -662,7 +663,7 @@ class TestSweep:
             SweepRow("sea", 1.0, 5, 0, 2.7, 0.1, 10, False),
             SweepRow("sea", 2.0, 5, 0, float("nan"), float("nan"), 3, True),
         ]
-        result = harness.SweepResult(rows, "regression", "{}")
+        result = harness.SweepResult(rows, "regression", {})
         curve = harness.boundary_curve(result, 5)
         assert curve == [(0.0, 0.4), (1.0, harness.TRIVIAL_RMSE_LEVEL), (2.0, harness.TRIVIAL_RMSE_LEVEL)]
 
@@ -710,7 +711,7 @@ class TestBoundaryEstimator:
         nan = float("nan")
         rows = [SweepRow("sea", 0.5 * i, 5, 0, nan if v is None else v, nan if v is None else 0.1, 10, v is None)
                 for i, v in enumerate(metrics)]
-        curve = harness.boundary_curve(harness.SweepResult(rows, CLASSIFICATION, "{}"), 5)
+        curve = harness.boundary_curve(harness.SweepResult(rows, CLASSIFICATION, {}), 5)
         assert [v for _, v in curve] == [0.0 if v is None else v for v in metrics]
         for points in (curve, [(p, nan if v is None else v) for (p, _), v in zip(curve, metrics)]):
             est = estimate_real_boundary(points, CLASSIFICATION)
@@ -737,7 +738,7 @@ class TestPersistence:
     def test_sweep_roundtrip(self, tmp_path):
         cfg = small_cfg(epochs=3)
         result = run_sweep(cfg)
-        csv_path, meta_path = persist_sweep(result, tmp_path)
+        csv_path, config_path = persist_sweep(result, tmp_path)
         header, *lines = csv_path.read_text(encoding="utf-8").splitlines()
         assert header == harness.SWEEP_CSV_HEADER
         rows = []
@@ -746,9 +747,9 @@ class TestPersistence:
             rows.append(SweepRow(method, float(param), int(m), int(fold), float(metric), float(std), int(epochs),
                                  diverged == "1"))
         assert rows == result.rows
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        assert meta["task"] == result.task
-        assert json.dumps(meta["config"], sort_keys=True) == result.fingerprint
+        # sweep.json is a config: the sweep's own, but for the run settings, which keep their defaults
+        again = ExperimentConfig.from_dict(json.loads(config_path.read_text(encoding="utf-8")))
+        assert again == dataclasses.replace(cfg, outdir="results", workers=1)
 
     def test_byte_determinism(self, tmp_path):
         cfg = small_cfg(epochs=3)
@@ -792,7 +793,7 @@ class TestDiversityProfile:
         rows = [SweepRow("sea", p, 3, f, *((nan, nan, 2, True) if p == 1.0 else (0.5, 0.1, 5, False)))
                 for p in (0.0, 0.5, 1.0) for f in (0, 1)]
         with pytest.raises(RuntimeError, match="all folds diverged at param=1.0") as exc:
-            harness.diversity_profile(harness.SweepResult(rows, "regression", "{}"), 3)
+            harness.diversity_profile(harness.SweepResult(rows, "regression", {}), 3)
         assert type(exc.value) is RuntimeError
 
     def test_profile_fields(self):
