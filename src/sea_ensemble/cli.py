@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, gradcheck, harness, theory
+from . import __version__, harness, theory
 from .data import standardize
 from .ensemble import METHODS, ensemble_to_json
 from .harness import ExperimentConfig
@@ -116,7 +116,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or ./results)")
     p.add_argument("--batch-size", type=int)
     p.add_argument("--workers", type=int,
-                   help="parallel jobs, one per (ensemble size, fold) column of the grid (default: all cores)")
+                   help="parallel jobs, one per (ensemble size, fold) column of the grid "
+                        "(default: the CPUs this process may use)")
     p.add_argument("--metric-on-train", action="store_true", default=None,
                    help="score on the training folds instead of the held-out fold")
 
@@ -150,6 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one), not the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     base: dict = {}
     if args.config:
@@ -173,7 +181,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if "outdir" not in base or base["outdir"] is None:
         base["outdir"] = os.environ.get(OUTDIR_ENV, "results")
     if "workers" not in base or base["workers"] is None:
-        base["workers"] = max(1, os.cpu_count() or 1)
+        base["workers"] = _usable_cpus()
     try:
         return ExperimentConfig.from_dict(base)
     except (TypeError, ValueError) as exc:
@@ -264,6 +272,8 @@ def _cmd_diversity(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    from . import gradcheck  # only this command needs it
+
     results = gradcheck.run_all()
     failed = False
     for r in results:

@@ -12,6 +12,8 @@ included, is :func:`~sea_ensemble.ensemble.epoch_steps`'s to say; this
 module names no method's data rule. Each grid point gives one :class:`SweepRow`, one line
 of ``sweep.csv``; rows are sorted before persistence so output files are
 byte-identical for a given config regardless of worker count and output directory.
+Only a sweep that starts a pool loads the process pool's modules
+(``concurrent.futures`` resolves ``ProcessPoolExecutor`` on first use).
 
 Seeds: the master seed is split by purpose (see :mod:`sea_ensemble.seeds`).
 The data split and the per-fold learner initializations never depend on the
@@ -26,7 +28,7 @@ import logging
 import numbers
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import asdict, astuple, dataclass, field
 from itertools import product, repeat
 from pathlib import Path
@@ -448,7 +450,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     args = (repeat(cfg), ms, repeat(ds), repeat(split), folds)
     workers = min(cfg.workers, len(ms))  # a pool starts all its workers at the first job
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(run_column, *args))
     else:
         columns = list(map(run_column, *args))

@@ -1,11 +1,15 @@
 import json
 import logging
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sea_ensemble
 from sea_ensemble import harness, theory
 from sea_ensemble.cli import (
     EXIT_OK,
@@ -13,6 +17,7 @@ from sea_ensemble.cli import (
     EXIT_USAGE,
     MAX_BOUNDS_ROWS,
     MAX_GRID_POINTS,
+    _config_from_args,
     _parse_float_list,
     build_parser,
     main,
@@ -550,3 +555,41 @@ class TestEnvironment:
         monkeypatch.setenv("SEA_OUTDIR", str(tmp_path / "fromenv"))
         assert main(["bounds", "--m", "2..4"]) == EXIT_OK
         assert (tmp_path / "fromenv" / "bounds.csv").exists()
+
+    def test_workers_default_counts_usable_cpus(self, monkeypatch):
+        # a process pinned to one CPU of a larger machine starts one worker, not one per core
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _config_from_args(build_parser().parse_args(["sweep"])).workers == 1
+
+    def test_workers_default_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _config_from_args(build_parser().parse_args(["sweep"])).workers == 3
+
+
+# Runs main in a fresh interpreter and prints whether the pool's and the checker's modules loaded.
+LOADED_AFTER_MAIN = """
+import json, sys
+from sea_ensemble.cli import main
+status = main(sys.argv[1:])
+print(json.dumps([status, "concurrent.futures.process" in sys.modules, "sea_ensemble.gradcheck" in sys.modules]))
+"""
+
+
+class TestImports:
+    def loaded_after(self, args, tmp_path):
+        # the interpreter imports the package from where this test imported it
+        path = [str(Path(sea_ensemble.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *map(str, args)], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("workers, pool", [(1, False), (2, True)])
+    def test_sweep_loads_the_pool_only_when_it_starts_one(self, tmp_path, workers, pool):
+        # two columns (M=3, folds 0 and 1): --workers 2 runs them in a pool of two
+        args = ["sweep", "--grid", "0,0.5", "--synth-n", "40", "--folds", "2", "--epochs", "2", "--m", "3",
+                "--hidden", "3", "--workers", workers, "--outdir", tmp_path / "out"]
+        assert self.loaded_after(args, tmp_path) == [EXIT_OK, pool, False]
+        assert (tmp_path / "out" / "sweep.csv").exists()

@@ -44,7 +44,7 @@ THETA_LEARNER0_FOLD0 = [
 
 @pytest.fixture
 def inline_pools(monkeypatch) -> list:
-    """Replace harness's ProcessPoolExecutor with a stand-in that runs the jobs here; returns the pools made.
+    """Replace harness.futures.ProcessPoolExecutor with a stand-in that runs the jobs here; returns the pools made.
 
     A pool records each job's (M, fold); the config, dataset and split are the same for every job.
     """
@@ -67,7 +67,7 @@ def inline_pools(monkeypatch) -> list:
             self.jobs.extend((m, fold) for _, m, _, _, fold in jobs)
             return itertools.starmap(fn, jobs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.futures, "ProcessPoolExecutor", InlinePool)
     return pools
 
 
