@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from sea_ensemble import gradcheck, theory
+from sea_ensemble.cli import _usable_cpus
 from sea_ensemble.cli import main as cli_main
 from sea_ensemble.data import (
     Dataset,
@@ -47,7 +48,8 @@ from sea_ensemble.harness import (
 from sea_ensemble.mlp import forward_batch
 
 SEED = 2024
-WORKERS = min(16, os.cpu_count() or 1)
+# the CPUs this process may use, as the CLI's default --workers counts them
+WORKERS = min(16, _usable_cpus())
 
 
 @contextmanager

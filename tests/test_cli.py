@@ -1,6 +1,8 @@
+import csv
 import json
 import logging
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -25,10 +27,6 @@ from sea_ensemble.cli import (
 from sea_ensemble.data import standardize
 from sea_ensemble.ensemble import MethodConfig, build_ensemble, ensemble_from_json, ensemble_to_json, train_epoch
 from sea_ensemble.harness import ExperimentConfig, SynthSpec, fold_seed, load_dataset
-
-
-def run_cli(args, tmp_path, **env):
-    return main([str(a) for a in args])
 
 
 BASE = ["--synth-n", "60", "--folds", "2", "--epochs", "4", "--m", "3", "--hidden", "5", "--workers", "1"]
@@ -283,7 +281,9 @@ class TestSweep:
         config = tmp_path / "first" / "sweep.json"
         assert (json.loads(config.read_text())["dataset_path"] is None) == (source == "synthetic")
         assert main(["sweep", "--config", str(config), "--outdir", str(tmp_path / "again")]) == EXIT_OK
-        for name in ("sweep.csv", "sweep.json"):
+        names = sorted(path.name for path in (tmp_path / "first").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "again").iterdir()) == ["sweep.csv", "sweep.json"]
+        for name in names:
             assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
     # parse_libsvm is the door for file data: a non-finite entry is refused, by line, before training
@@ -291,9 +291,9 @@ class TestSweep:
     def test_non_finite_dataset_entry_exits_2_naming_its_line(self, tmp_path, caplog, line):
         data = tmp_path / "bad.libsvm"
         data.write_text(f"1 1:0.5\n{line}\n3 1:1\n")
-        args = ["sweep", "--dataset", data, "--grid", "0", "--folds", "2", "--epochs", "2", "--m", "2",
-                "--hidden", "3", "--workers", "1", "--outdir", tmp_path / "out"]
-        assert run_cli(args, tmp_path) == EXIT_RUNTIME
+        args = ["sweep", "--dataset", str(data), "--grid", "0", "--folds", "2", "--epochs", "2", "--m", "2",
+                "--hidden", "3", "--workers", "1", "--outdir", str(tmp_path / "out")]
+        assert main(args) == EXIT_RUNTIME
         assert "line 2: non-finite" in caplog.text
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
@@ -301,9 +301,9 @@ class TestSweep:
     def test_overflowing_dataset_column_exits_2(self, tmp_path, caplog):
         data = tmp_path / "big.libsvm"
         data.write_text("1 1:1e308\n" * 4)
-        args = ["sweep", "--dataset", data, "--grid", "0", "--folds", "2", "--epochs", "2", "--m", "2",
-                "--hidden", "3", "--workers", "1", "--outdir", tmp_path / "out"]
-        assert run_cli(args, tmp_path) == EXIT_RUNTIME
+        args = ["sweep", "--dataset", str(data), "--grid", "0", "--folds", "2", "--epochs", "2", "--m", "2",
+                "--hidden", "3", "--workers", "1", "--outdir", str(tmp_path / "out")]
+        assert main(args) == EXIT_RUNTIME
         assert "standardized values are not finite" in caplog.text
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
@@ -314,9 +314,10 @@ class TestSweep:
                 "--alpha", "0.3", "--synth-n", "200", "--epochs", "20", "--folds", "2", "--seed", "1"]
         assert main(args + ["--workers", "1", "--outdir", str(tmp_path / "w1")]) == EXIT_OK
         assert main(args + ["--workers", "2", "--outdir", str(tmp_path / "w2")]) == EXIT_OK
-        csv = (tmp_path / "w1" / "sweep.csv").read_bytes()
-        assert csv == (tmp_path / "w2" / "sweep.csv").read_bytes()
-        assert sum(line.endswith(b",1") for line in csv.splitlines()) == 8
+        for name in ("sweep.csv", "sweep.json"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+        rows = (tmp_path / "w1" / "sweep.csv").read_bytes().splitlines()[1:]
+        assert sum(row.endswith(b",1") for row in rows) == 8 and len(rows) == 12  # 4 rows trained
 
     def test_worker_count_keeps_bytes_of_chunked_bagging(self, tmp_path, monkeypatch):
         # a 5-point grid at M=5 trains in chunks; a real pool runs the two columns at --workers 2
@@ -352,13 +353,17 @@ class TestTrain:
         assert main(args + ["--config", str(config)]) == EXIT_USAGE
         assert not (tmp_path / "checkpoint.json").exists()
 
-    def test_writes_loadable_checkpoint(self, tmp_path):
-        args = ["train", "--method", "sea", "--param", "0.5", "--grid", "0.5",
-                "--outdir", str(tmp_path)] + BASE
+    @pytest.mark.parametrize("method", ["sea", "bagging"])
+    def test_writes_loadable_checkpoint(self, tmp_path, method):
+        # a checkpoint loads, and writes back the same bytes (bagging's bootstrap included)
+        args = ["train", "--method", method, "--param", "0.5", "--outdir", str(tmp_path)] + BASE
         assert main(args) == EXIT_OK
-        ens = ensemble_from_json((tmp_path / "checkpoint.json").read_text())
+        text = (tmp_path / "checkpoint.json").read_text()
+        ens = ensemble_from_json(text)
+        assert ensemble_to_json(ens) == text
         assert ens.m == 3
-        assert ens.config.method == "sea" and ens.config.param == 0.5
+        assert ens.config.method == method and ens.config.param == 0.5
+        assert (ens.bootstrap is not None) == (method == "bagging")
 
     def test_batch_size_honoured(self, tmp_path):
         args = ["train", "--method", "sea", "--param", "0.5", "--grid", "0.5"] + BASE
@@ -427,8 +432,10 @@ class TestTrain:
         assert main(args) == EXIT_USAGE  # the config's two sizes are left
         assert not (tmp_path / "out").exists()
         assert main(args + ["--m", "3"]) == EXIT_OK
-        ens = ensemble_from_json((tmp_path / "out" / "checkpoint.json").read_text())
+        text = (tmp_path / "out" / "checkpoint.json").read_text()
+        ens = ensemble_from_json(text)
         assert ens.params.tolist() == [0.5] and ens.m == 3
+        assert ensemble_to_json(ens) == text
 
     @pytest.mark.parametrize("method,param", [("sea", "0.5"), ("bagging", "0")])
     def test_starts_from_a_sweeps_fold_0_learners(self, tmp_path, monkeypatch, method, param):
@@ -450,13 +457,13 @@ class TestTrain:
 
 class TestBoundary:
     def test_emits_per_m_files(self, tmp_path):
-        args = ["boundary", "--method", "sea", "--grid", "0:2:0.5", "--outdir",
-                str(tmp_path)] + BASE
+        # one grid-long curve per M, from one sweep
+        args = ["boundary", "--method", "sea", "--grid", "0:2:0.5", "--outdir", str(tmp_path)] + BASE + ["--m", "3,4"]
         assert main(args) == EXIT_OK
-        path = tmp_path / "m3_boundary.csv"
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "param,metric,is_plateau,is_boundary"
-        assert len(lines) == 6
+        for m in (3, 4):
+            lines = (tmp_path / f"m{m}_boundary.csv").read_text().splitlines()
+            assert lines[0] == "param,metric,is_plateau,is_boundary"
+            assert len(lines) == 6
 
     def test_readme_example_runs(self, tmp_path):
         # the documented command, as written, with a negative grid start
@@ -479,12 +486,13 @@ class TestBoundary:
 
 class TestDiversity:
     def test_emits_profile(self, tmp_path):
-        args = ["diversity", "--method", "sea", "--grid", "0,0.5,1", "--outdir",
-                str(tmp_path)] + BASE
+        # one grid-long profile per M, from one sweep
+        args = ["diversity", "--method", "sea", "--grid", "0,0.5,1", "--outdir", str(tmp_path)] + BASE + ["--m", "3,4"]
         assert main(args) == EXIT_OK
-        meta = json.loads((tmp_path / "m3_diversity.json").read_text())
-        assert 0.0 <= meta["r_squared"] <= 1.0
-
+        for m in (3, 4):
+            assert len((tmp_path / f"m{m}_diversity.csv").read_text().splitlines()) == 4
+            meta = json.loads((tmp_path / f"m{m}_diversity.json").read_text())
+            assert meta["m"] == m and 0.0 <= meta["r_squared"] <= 1.0
 
     def test_ncl_prediction_is_the_closed_form(self, tmp_path):
         args = ["diversity", "--method", "ncl", "--grid", "0,0.25,0.5", "--outdir", str(tmp_path)] + BASE
@@ -568,6 +576,64 @@ class TestEnvironment:
         assert _config_from_args(build_parser().parse_args(["sweep"])).workers == 3
 
 
+def child_env() -> dict:
+    """This process's environment, with the path this test imported the package from first on PYTHONPATH."""
+    path = [str(Path(sea_ensemble.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+def run_module(args, cwd, env=None) -> subprocess.CompletedProcess:
+    """``python -m sea_ensemble ARGS`` in a fresh interpreter, through ``__main__`` and ``console_main``."""
+    return subprocess.run([sys.executable, "-m", "sea_ensemble", *map(str, args)], env=env or child_env(), cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcess:
+    @pytest.mark.parametrize("args,status,stderr,output", [
+        # train fits one cell: a config naming two grid values and two sizes
+        (["train", "--config", "cells.json"], EXIT_USAGE, r"^error: train fits one", "checkpoint.json"),
+        # a non-finite dataset entry, refused by its line before any output
+        (["sweep", "--dataset", "bad.libsvm", "--grid", "0", "--folds", "2", "--epochs", "2", "--m", "2",
+          "--hidden", "3"], EXIT_RUNTIME, r"line 2: non-finite", "sweep.csv"),
+    ], ids=["usage", "runtime"])
+    def test_failure_exits_with_its_code_without_traceback_or_output(self, tmp_path, args, status, stderr, output):
+        (tmp_path / "cells.json").write_text(json.dumps(
+            {"grid": [0, 1.5], "m_list": [3, 5], "synth": {"n": 40}, "epochs": 3, "hidden": [4]}))
+        (tmp_path / "bad.libsvm").write_text("1 1:0.5\n2 1:nan\n3 1:1\n")
+        done = run_module(args + ["--outdir", "out"], tmp_path)
+        assert done.returncode == status
+        assert re.search(stderr, done.stderr, re.MULTILINE), done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out" / output).exists()
+
+    def test_diverging_sweep_on_another_code_path(self, tmp_path):
+        # Bytes are fixed per machine code path. With numpy's AVX-512 paths off and OpenBLAS's Haswell
+        # kernel (names a CPU lacks are ignored), every row keeps its key, diverged flag and epochs, and
+        # the bounded rows with learners apart (metric < 1, std > 1e-3) agree to 1e-9 relative.
+        other_path = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Haswell"}
+        default = {k: v for k, v in child_env().items() if k not in other_path}
+        args = ["sweep", "--method", "sea", "--grid", "0:9:0.5", "--m", "3,5", "--folds", "2", "--epochs", "60",
+                "--alpha", "0.3", "--batch-size", "7", "--synth-n", "80", "--hidden", "5", "--seed", "3",
+                "--workers", "1"]
+        runs = []
+        for outdir, env in (("default", default), ("other", {**default, **other_path})):
+            done = run_module(args + ["--outdir", outdir], tmp_path, env)
+            assert done.returncode == EXIT_OK, done.stderr
+            with open(tmp_path / outdir / "sweep.csv", newline="") as f:
+                runs.append(list(csv.DictReader(f)))
+        a, b = runs
+        key = lambda r: (r["method"], r["param"], r["M"], r["fold"])
+        assert list(map(key, a)) == list(map(key, b)), "the rows' keys or their order differ"
+        bounded = 0
+        for ra, rb in zip(a, b):
+            assert (ra["diverged"], ra["epochs"]) == (rb["diverged"], rb["epochs"]), ra
+            x, y = (np.array([float(r["metric"]), float(r["std"])]) for r in (ra, rb))
+            if ra["diverged"] == "0" and x[0] < 1 and x[1] > 1e-3:
+                assert np.allclose(y, x, rtol=1e-9, atol=0), (ra, rb)
+                bounded += 1
+        assert 0 < bounded < len(a)
+
+
 # Runs main in a fresh interpreter and prints whether the pool's and the checker's modules loaded.
 LOADED_AFTER_MAIN = """
 import json, sys
@@ -579,10 +645,7 @@ print(json.dumps([status, "concurrent.futures.process" in sys.modules, "sea_ense
 
 class TestImports:
     def loaded_after(self, args, tmp_path):
-        # the interpreter imports the package from where this test imported it
-        path = [str(Path(sea_ensemble.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-        done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *map(str, args)], env=env,
+        done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *map(str, args)], env=child_env(),
                               cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
         return json.loads(done.stdout.splitlines()[-1])
 
